@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, MalformedCode
 from .trees import EquivalenceMode, RootedPlaneTree, decode
@@ -76,10 +76,15 @@ class PlaneTree:
         prefix, sep, code = line.partition(":")
         if not sep or prefix not in ("U", "B"):
             raise MalformedCode(f"expected 'U:<code>' or 'B:<code>', got {line!r}")
-        tree = decode(code)  # raises MalformedCode on bad input
-        expected = "U" if len(_strip_centers(rotation_system(tree))) == 1 else "B"
+        decode(code)  # raises MalformedCode on bad input
+        adj = _rotation_system_of(code)
+        centers = _strip_centers(adj)
+        expected = "U" if len(centers) == 1 else "B"
         if prefix != expected:
             raise MalformedCode(f"centrality tag {prefix!r} contradicts the code {code!r}")
+        # a non-canonical code would compare unequal to its own class
+        if code != _least_code(adj, centers, mode):
+            raise MalformedCode(f"{code!r} is not the canonical {mode.value} code of its tree")
         return cls(canon=code, mode=mode, centrality=Centrality(prefix))
 
 
@@ -101,6 +106,21 @@ def rotation_system(tree: RootedPlaneTree) -> list[list[int]]:
         return vid
 
     build(tree, -1)
+    return adj
+
+
+def _rotation_system_of(code: str) -> list[list[int]]:
+    # rotation_system(decode(code)) in one scan, for a balanced code
+    adj: list[list[int]] = [[]]
+    path = [0]
+    for ch in code:
+        if ch == "(":
+            child = len(adj)
+            adj[path[-1]].append(child)
+            adj.append([path[-1]])
+            path.append(child)
+        else:
+            path.pop()
     return adj
 
 
@@ -179,6 +199,23 @@ def _code_from(adj: list[list[int]], root: int, start: int) -> str:
     return "".join(parts)
 
 
+def _least_code(adj: list[list[int]], roots: Iterable[int], mode: EquivalenceMode) -> str:
+    # least rooted code over the given roots, every rotation of each root's
+    # cyclic order and, in MIRROR mode, the reflected tree as well
+    systems = [adj]
+    if mode is EquivalenceMode.MIRROR:
+        systems.append(_reflected(adj))
+    best: str | None = None
+    for system in systems:
+        for root in roots:
+            for s in range(max(len(system[root]), 1)):
+                code = _code_from(system, root, s)
+                if best is None or code < best:
+                    best = code
+    assert best is not None
+    return best
+
+
 def _tree_from(adj: list[list[int]], root: int, start: int) -> RootedPlaneTree:
     def build(v: int, parent: int) -> RootedPlaneTree:
         nbrs = adj[v]
@@ -209,19 +246,8 @@ def canonical_plane(
     """
     adj = rotation_system(tree)
     centers = _strip_centers(adj)
-    systems = [adj]
-    if mode is EquivalenceMode.MIRROR:
-        systems.append(_reflected(adj))
-    best: str | None = None
-    for system in systems:
-        for c in centers:
-            for s in range(max(len(system[c]), 1)):
-                code = _code_from(system, c, s)
-                if best is None or code < best:
-                    best = code
-    assert best is not None
     centrality = Centrality.UNICENTRAL if len(centers) == 1 else Centrality.BICENTRAL
-    return PlaneTree(canon=best, mode=mode, centrality=centrality)
+    return PlaneTree(canon=_least_code(adj, centers, mode), mode=mode, centrality=centrality)
 
 
 def is_isomorphic(
@@ -248,15 +274,4 @@ def rerooting_oracle_canon(
             f"of {REROOT_ORACLE_MAX_VERTICES}"
         )
     adj = rotation_system(tree)
-    systems = [adj]
-    if mode is EquivalenceMode.MIRROR:
-        systems.append(_reflected(adj))
-    best: str | None = None
-    for system in systems:
-        for v in range(len(system)):
-            for s in range(max(len(system[v]), 1)):
-                code = _code_from(system, v, s)
-                if best is None or code < best:
-                    best = code
-    assert best is not None
-    return best
+    return _least_code(adj, range(len(adj)), mode)

@@ -6,7 +6,15 @@ of maximal height) or bicentral (a central edge joining two rooted halves
 of equal height). Generating exactly one branch arrangement per rotation
 class (necklace filter) and one half pair per swap class therefore yields
 every isomorphism class exactly once; in MIRROR mode the filters also
-quotient by reflection (bracelet filter with recursively reflected parts).
+quotient by reflection (bracelet filter with reflected parts).
+
+The gluing works on parenthesis codes throughout. The branch pool holds
+each rooted plane tree as its code, its height (maximum nesting depth) and
+the code of its mirror image; bicentral halves are paired only within a
+height bucket of the pool. A glued tree is a code too: branches `b` around
+a center give the concatenation of the `(b)`, and halves `a`, `b` joined by
+an edge give `a(b)`. Each glued code has its center checked by leaf
+stripping and is canonicalized by the same minimisation as canonical_plane.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -21,16 +29,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .canonical import Centrality, PlaneTree, canonical_plane, rotation_system, _strip_centers
+from .canonical import (
+    Centrality,
+    PlaneTree,
+    canonical_plane,
+    _least_code,
+    _rotation_system_of,
+    _strip_centers,
+)
 from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     count_rooted,
     decode,
-    encode,
     iter_dyck_codes,
-    reflect,
 )
 
 #: Center-method ceiling; raise explicitly for bigger runs.
@@ -81,20 +94,39 @@ def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
 
 
 class _PoolEntry(NamedTuple):
-    tree: RootedPlaneTree
     code: str
     height: int
     mirror_code: str
 
 
+_MIRROR = str.maketrans("()", ")(")
+
+
 @lru_cache(maxsize=None)
 def _pool(vertices: int) -> tuple[_PoolEntry, ...]:
-    # rooted plane trees with this many vertices, in code order
+    # rooted plane trees with this many vertices as codes, in code order;
+    # reversing a code and swapping its parentheses reflects the tree
     entries = []
     for code in iter_dyck_codes(vertices - 1):
-        tree = decode(code)
-        entries.append(_PoolEntry(tree, code, tree.height, encode(reflect(tree))))
+        depth = height = 0
+        for ch in code:
+            if ch == "(":
+                depth += 1
+                if depth > height:
+                    height = depth
+            else:
+                depth -= 1
+        entries.append(_PoolEntry(code, height, code[::-1].translate(_MIRROR)))
     return tuple(entries)
+
+
+@lru_cache(maxsize=None)
+def _height_buckets(vertices: int) -> dict[int, tuple[_PoolEntry, ...]]:
+    # the pool split by height, each bucket still in code order
+    buckets: dict[int, list[_PoolEntry]] = {}
+    for entry in _pool(vertices):
+        buckets.setdefault(entry.height, []).append(entry)
+    return {height: tuple(entries) for height, entries in buckets.items()}
 
 
 def _min_rotation(seq: tuple[str, ...]) -> tuple[str, ...]:
@@ -108,7 +140,7 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
         yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
 
 
-def _unicentral_specs(vertices: int, mode: EquivalenceMode) -> Iterator[CenterGluingSpec]:
+def _unicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
     budget = vertices - 1
     for k in range(2, budget + 1):
         for sizes in _compositions(budget, k):
@@ -123,40 +155,40 @@ def _unicentral_specs(vertices: int, mode: EquivalenceMode) -> Iterator[CenterGl
                     mirrored = tuple(e.mirror_code for e in reversed(combo))
                     if _min_rotation(mirrored) < codes:
                         continue
-                yield CenterGluingSpec(
-                    Centrality.UNICENTRAL, tuple(e.tree for e in combo), vertices
-                )
+                yield "".join("(" + code + ")" for code in codes)
 
 
-def _bicentral_specs(vertices: int, mode: EquivalenceMode) -> Iterator[CenterGluingSpec]:
-    for n1 in range(1, vertices // 2 + 1):
+def _bicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[tuple[str, int]]:
+    # glued codes with the vertex count of the first half; a one-vertex
+    # half has height 0, which no half of two or more vertices matches
+    for n1 in range(2, vertices // 2 + 1):
         n2 = vertices - n1
-        if n1 == n2:
-            # pools are code-sorted, so these pairs come out with a <= b
-            pairs: Iterator[tuple[_PoolEntry, _PoolEntry]] = (
-                itertools.combinations_with_replacement(_pool(n1), 2)
-            )
-        else:
-            pairs = itertools.product(_pool(n1), _pool(n2))
-        for a, b in pairs:
-            if a.height != b.height:
-                continue
-            if mode is EquivalenceMode.MIRROR:
-                original = tuple(sorted((a.code, b.code)))
-                reflected = tuple(sorted((a.mirror_code, b.mirror_code)))
-                if reflected < original:
-                    continue
-            yield CenterGluingSpec(Centrality.BICENTRAL, (a.tree, b.tree), vertices)
+        first, second = _height_buckets(n1), _height_buckets(n2)
+        for height, bucket in first.items():
+            if n1 == n2:
+                # buckets are code-sorted, so these pairs come out with a <= b
+                pairs: Iterator[tuple[_PoolEntry, _PoolEntry]] = (
+                    itertools.combinations_with_replacement(bucket, 2)
+                )
+            else:
+                pairs = itertools.product(bucket, second.get(height, ()))
+            for a, b in pairs:
+                if mode is EquivalenceMode.MIRROR:
+                    original = tuple(sorted((a.code, b.code)))
+                    reflected = tuple(sorted((a.mirror_code, b.mirror_code)))
+                    if reflected < original:
+                        continue
+                yield a.code + "(" + b.code + ")", n1
 
 
-def _check_glued_center(spec: CenterGluingSpec, tree: RootedPlaneTree) -> None:
+def _glued_class(
+    code: str, kind: Centrality, expected: set[int], mode: EquivalenceMode
+) -> PlaneTree:
     # the glued vertex/edge must come back as the computed center
-    centers = set(_strip_centers(rotation_system(tree)))
-    if spec.kind is Centrality.UNICENTRAL:
-        expected = {0}
-    else:
-        expected = {0, spec.parts[0].vertex_count}
-    assert centers == expected, f"glued at {expected}, center found at {centers}"
+    adj = _rotation_system_of(code)
+    centers = _strip_centers(adj)
+    assert set(centers) == expected, f"glued at {expected}, center found at {centers}"
+    return PlaneTree(canon=_least_code(adj, centers, mode), mode=mode, centrality=kind)
 
 
 def enumerate_plane_center(
@@ -181,13 +213,14 @@ def enumerate_plane_center(
     if vertices == 2:
         return [canonical_plane(decode("()"), mode)]
 
-    results: list[PlaneTree] = []
-    for spec in itertools.chain(
-        _unicentral_specs(vertices, mode), _bicentral_specs(vertices, mode)
-    ):
-        tree = assemble(spec)
-        _check_glued_center(spec, tree)
-        results.append(canonical_plane(tree, mode))
+    results = [
+        _glued_class(code, Centrality.UNICENTRAL, {0}, mode)
+        for code in _unicentral_codes(vertices, mode)
+    ]
+    results.extend(
+        _glued_class(code, Centrality.BICENTRAL, {0, n1}, mode)
+        for code, n1 in _bicentral_codes(vertices, mode)
+    )
     results.sort(key=PlaneTree.serialize)
     # the necklace/pair filters must already be duplicate-free
     assert all(x != y for x, y in zip(results, results[1:])), "gluing emitted a duplicate"

@@ -45,85 +45,91 @@ def render(spec: RenderSpec) -> str:
     return render_svg(tree, layout=spec.layout)
 
 
+def _preorder(tree: RootedPlaneTree) -> tuple[list[int], list[int], list[int]]:
+    # parent id (-1 for the root), depth and subtree vertex count of every
+    # vertex, numbered in preorder; iterative, so depth is unbounded
+    parents: list[int] = []
+    depths: list[int] = []
+    stack = [(tree, -1, 0)]
+    while stack:
+        node, parent, depth = stack.pop()
+        vid = len(parents)
+        parents.append(parent)
+        depths.append(depth)
+        stack.extend((child, vid, depth + 1) for child in reversed(node.children))
+    sizes = [1] * len(parents)
+    for vid in range(len(parents) - 1, 0, -1):
+        sizes[parents[vid]] += sizes[vid]
+    return parents, depths, sizes
+
+
 def render_ascii(tree: RootedPlaneTree) -> str:
     """Indented outline, one vertex per line, children in stored order."""
-    lines: list[str] = []
-
-    def walk(node: RootedPlaneTree, depth: int) -> None:
-        lines.append("  " * depth + "o")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree, 0)
-    return "\n".join(lines) + "\n"
+    _, depths, _ = _preorder(tree)
+    return "".join("  " * depth + "o\n" for depth in depths)
 
 
 def render_dot(tree: RootedPlaneTree) -> str:
     """Graphviz digraph; `ordering=out` keeps children in embedding order."""
+    parents, _, _ = _preorder(tree)
     lines = ["digraph plane_tree {", "  graph [ordering=out];", "  node [shape=circle];"]
-    edges: list[str] = []
-
-    def walk(node: RootedPlaneTree, vid: int) -> int:
-        lines.append(f'  n{vid} [label="{vid}"];')
-        next_id = vid + 1
-        for child in node.children:
-            edges.append(f"  n{vid} -> n{next_id};")
-            next_id = walk(child, next_id)
-        return next_id
-
-    walk(tree, 0)
-    lines.extend(edges)
+    lines.extend(f'  n{vid} [label="{vid}"];' for vid in range(len(parents)))
+    lines.extend(f"  n{parents[vid]} -> n{vid};" for vid in range(1, len(parents)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _radial_positions(tree: RootedPlaneTree) -> list[tuple[float, float]]:
+def _radial_positions(
+    parents: list[int], depths: list[int], sizes: list[int]
+) -> list[tuple[float, float]]:
     # children take angular wedges proportional to subtree size, preserving
     # their cyclic order around every vertex
-    positions: list[tuple[float, float]] = []
     step = 60.0
-
-    def place(node: RootedPlaneTree, depth: int, lo: float, hi: float) -> None:
+    wedges = [(0.0, 2.0 * math.pi)]
+    # where the next child's wedge starts, per vertex
+    cursor = [0.0]
+    for vid in range(1, len(parents)):
+        parent = parents[vid]
+        lo, hi = wedges[parent]
+        span = (hi - lo) * sizes[vid] / max(sizes[parent] - 1, 1)
+        start = cursor[parent]
+        wedges.append((start, start + span))
+        cursor[parent] = start + span
+        cursor.append(start)
+    positions = []
+    for (lo, hi), depth in zip(wedges, depths):
         mid = (lo + hi) / 2.0
         r = step * depth
         positions.append((r * math.cos(mid), r * math.sin(mid)))
-        total = max(node.vertex_count - 1, 1)
-        angle = lo
-        for child in node.children:
-            span = (hi - lo) * child.vertex_count / total
-            place(child, depth + 1, angle, angle + span)
-            angle += span
-
-    place(tree, 0, 0.0, 2.0 * math.pi)
     return positions
 
 
-def _layered_positions(tree: RootedPlaneTree) -> list[tuple[float, float]]:
+def _layered_positions(
+    parents: list[int], depths: list[int], sizes: list[int]
+) -> list[tuple[float, float]]:
     # leaves get successive columns; inner vertices sit over their children
-    positions: dict[int, tuple[float, float]] = {}
-    next_column = [0]
-
-    def place(node: RootedPlaneTree, vid: int, depth: int) -> tuple[int, float]:
-        next_id = vid + 1
-        child_xs: list[float] = []
-        for child in node.children:
-            next_id, x = place(child, next_id, depth + 1)
-            child_xs.append(x)
-        if child_xs:
-            x = (child_xs[0] + child_xs[-1]) / 2.0
-        else:
-            x = float(next_column[0])
-            next_column[0] += 1
-        positions[vid] = (60.0 * x, 60.0 * depth)
-        return next_id, x
-
-    place(tree, 0, 0)
-    return [positions[v] for v in range(len(positions))]
+    n = len(parents)
+    xs = [0.0] * n
+    column = 0
+    last_child = list(range(n))
+    for vid in range(n):
+        if sizes[vid] == 1:
+            xs[vid] = float(column)
+            column += 1
+        if vid:
+            last_child[parents[vid]] = vid
+    for vid in range(n - 1, -1, -1):
+        if sizes[vid] > 1:
+            # the first child follows its parent in preorder
+            xs[vid] = (xs[vid + 1] + xs[last_child[vid]]) / 2.0
+    return [(60.0 * x, 60.0 * depth) for x, depth in zip(xs, depths)]
 
 
 def render_svg(tree: RootedPlaneTree, layout: str = "radial") -> str:
     """Standalone svg document, one circle per vertex and one line per edge."""
-    points = _radial_positions(tree) if layout == "radial" else _layered_positions(tree)
+    parents, depths, sizes = _preorder(tree)
+    place = _radial_positions if layout == "radial" else _layered_positions
+    points = place(parents, depths, sizes)
     pad = 20.0
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -132,24 +138,13 @@ def render_svg(tree: RootedPlaneTree, layout: str = "radial") -> str:
     height = max(ys) - min_y + pad
     shifted = [(x - min_x, y - min_y) for x, y in points]
 
-    edges: list[tuple[int, int]] = []
-
-    def walk(node: RootedPlaneTree, vid: int) -> int:
-        next_id = vid + 1
-        for child in node.children:
-            edges.append((vid, next_id))
-            next_id = walk(child, next_id)
-        return next_id
-
-    walk(tree, 0)
-
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
         f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
     ]
-    for a, b in edges:
-        (x1, y1), (x2, y2) = shifted[a], shifted[b]
+    for vid in range(1, len(parents)):
+        (x1, y1), (x2, y2) = shifted[parents[vid]], shifted[vid]
         lines.append(
             f'  <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             'stroke="black" stroke-width="1.5"/>'

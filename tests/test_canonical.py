@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plane_forest import (
     Centrality,
@@ -10,6 +11,8 @@ from plane_forest import (
     canonical_plane,
     center,
     decode,
+    encode,
+    enumerate_plane_center,
     enumerate_rooted,
     is_isomorphic,
     reflect,
@@ -26,6 +29,14 @@ MIRROR = EquivalenceMode.MIRROR
 # smallest chiral class pair, found by exhaustive scan with the re-rooting
 # oracle: a center carrying a leaf, a 2-path and a 2-leaf cherry
 CHIRAL_CODE = "()(())(()())"
+
+# every catalog line up to 8 vertices, with the mode of its catalog
+CATALOG_LINES = [
+    (form.serialize(), mode)
+    for mode in (ORIENTED, MIRROR)
+    for vertices in range(1, 9)
+    for form in enumerate_plane_center(vertices, mode)
+]
 
 
 class TestCenter:
@@ -198,6 +209,38 @@ class TestSerialization:
             PlaneTree.parse("B:()()", ORIENTED)  # that code is unicentral
         with pytest.raises(MalformedCode):
             PlaneTree.parse("U:()", ORIENTED)  # a single edge is bicentral
+
+    def test_rejects_non_canonical_code(self):
+        # a valid, correctly tagged code of the same tree, but not its least one
+        assert canonical_plane(decode("()()()()(())")).serialize() == "B:(()()()())()"
+        with pytest.raises(MalformedCode):
+            PlaneTree.parse("B:()()()()(())", ORIENTED)
+
+    def test_accepts_exactly_the_canonical_codes(self):
+        for edges in range(0, 7):
+            for tree in enumerate_rooted(edges):
+                code = encode(tree)
+                for mode in (ORIENTED, MIRROR):
+                    form = canonical_plane(tree, mode)
+                    line = f"{form.centrality.value}:{code}"
+                    if code == form.canon:
+                        assert PlaneTree.parse(line, mode) == form
+                    else:
+                        with pytest.raises(MalformedCode):
+                            PlaneTree.parse(line, mode)
+
+    @given(st.sampled_from(CATALOG_LINES))
+    @settings(max_examples=60)
+    def test_catalog_lines_round_trip(self, item):
+        line, mode = item
+        assert PlaneTree.parse(line, mode).serialize() == line
+
+    @given(st.sampled_from(CATALOG_LINES))
+    @settings(max_examples=60)
+    def test_parsed_lines_are_canonical(self, item):
+        line, mode = item
+        parsed = PlaneTree.parse(line, mode)
+        assert canonical_plane(decode(parsed.canon), mode) == parsed
 
     def test_equality_includes_mode(self):
         tree = decode("(())")

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from plane_forest import decode
 from plane_forest.cli import main
@@ -174,6 +177,51 @@ class TestRender:
 
     def test_bad_format(self, capsys):
         assert run(capsys, "render", "--code", "()", "--format", "png")[0] == 1
+
+    @pytest.mark.parametrize(
+        "code,digest",
+        [
+            ("", "f65766b8165be658d8ef3a7da5d19e4a18d6ad3d91c5d772d4b84e92b0d5e807"),
+            ("()", "53bda2256f8cccfb50e3380e0da408696a5044f352260a8ef9c049d0a0d4c6eb"),
+            ("(()())()", "cac656b31aa33f4173434f5f96d0fddf47de0e47bc942a4a31d6e9c31ed21564"),
+            (
+                "((()())(()))()(())",
+                "8d69ff4f317f213b46e311f783112324c23f1eb7ab1c0bac65a9bd55e0de2291",
+            ),
+            ("()(())(()())", "cd9b22062c6908e2c7fe18a5e66482c870fff6050127197276a28b90558a3fac"),
+        ],
+    )
+    def test_output_bytes_frozen(self, capsys, code, digest):
+        # ascii, dot, radial svg and layered svg, as first rendered by the
+        # recursive walks
+        outputs = hashlib.sha256()
+        for args in (
+            ["ascii"],
+            ["dot"],
+            ["svg", "--layout", "radial"],
+            ["svg", "--layout", "layered"],
+        ):
+            status, out, _ = run(capsys, "render", "--code", code, "--format", *args)
+            assert status == 0
+            outputs.update(out.encode())
+        assert outputs.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args", [["dot"], ["svg", "--layout", "radial"], ["svg", "--layout", "layered"]]
+    )
+    def test_deep_path(self, capsys, args):
+        depth = 10_000
+        path = "(" * depth + ")" * depth
+        code, out, err = run(capsys, "render", "--code", path, "--format", *args)
+        assert code == 0 and err == ""
+        assert out.count("->" if args[0] == "dot" else "<line ") == depth
+
+    def test_deep_path_ascii(self, capsys):
+        # the outline grows quadratically with depth, so a shallower path
+        depth = 2000
+        code, out, err = run(capsys, "render", "--code", "(" * depth + ")" * depth)
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "  " * depth + "o"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "tree.svg"

@@ -1,4 +1,6 @@
 import collections
+import functools
+import hashlib
 
 import pytest
 
@@ -27,6 +29,20 @@ MIRROR = EquivalenceMode.MIRROR
 # computed with the brute-force re-rooting oracle and frozen
 ORIENTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 14, 8: 34, 9: 95, 10: 280}
 MIRROR_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 12, 8: 27, 9: 65, 10: 175}
+
+# above the oracle cap: computed by the object-based gluing route (which
+# built every branch as a RootedPlaneTree) and frozen; the SHA-256 is that
+# of catalog_text(v, mode, enumerate_plane_center(v, mode, limit=v))
+GLUED_COUNTS = {
+    ORIENTED: {11: 854, 12: 2694, 13: 8714},
+    MIRROR: {11: 490, 12: 1473, 13: 4588},
+}
+GLUED_DIGESTS = {
+    (11, ORIENTED): "3c05d77b7c6bb6d1041175b01f0fcc123290b3f05d84390adab2e230dc64a51e",
+    (11, MIRROR): "91432425e8757be5da289668f93968db73c1c3db44bf27b8d8225903e35eb0d0",
+    (12, ORIENTED): "f7c65fbdc68db961b9d7d4e6e340e4fcb182c3a8aced3fe58835b6fb87376200",
+    (12, MIRROR): "44198e220aaf99edc8d5689840707316483a4532563fe59f884545d1ca87d9fb",
+}
 
 
 class TestCountPlane:
@@ -115,6 +131,23 @@ class TestCenterRoute:
         for tree in enumerate_rooted(4):
             sizes[canonical_plane(tree, ORIENTED)] += 1
         assert sorted(sizes.values()) == [2, 4, 8]
+
+
+@functools.lru_cache(maxsize=None)
+def _glued(vertices, mode):
+    return enumerate_plane_center(vertices, mode, limit=vertices)
+
+
+class TestFrozenCatalogs:
+    @pytest.mark.parametrize("vertices", [11, 12, 13])
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_counts_above_oracle_cap(self, vertices, mode):
+        assert len(_glued(vertices, mode)) == GLUED_COUNTS[mode][vertices]
+
+    @pytest.mark.parametrize("vertices,mode", sorted(GLUED_DIGESTS, key=str))
+    def test_catalog_digests(self, vertices, mode):
+        text = catalog_text(vertices, mode, _glued(vertices, mode))
+        assert hashlib.sha256(text.encode()).hexdigest() == GLUED_DIGESTS[vertices, mode]
 
 
 class TestGluingSpec:
