@@ -20,10 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, MalformedCode
-from .trees import EquivalenceMode, RootedPlaneTree, decode
+from .trees import (
+    EquivalenceMode,
+    RootedPlaneTree,
+    _MIRROR,
+    _rotation_system_of,
+    decode,
+    encode,
+)
 
 #: Full re-rooting sweeps are quadratic-ish; keep the oracle at desk scale.
 REROOT_ORACLE_MAX_VERTICES = 12
@@ -77,15 +85,13 @@ class PlaneTree:
         if not sep or prefix not in ("U", "B"):
             raise MalformedCode(f"expected 'U:<code>' or 'B:<code>', got {line!r}")
         decode(code)  # raises MalformedCode on bad input
-        adj = _rotation_system_of(code)
-        centers = _strip_centers(adj)
-        expected = "U" if len(centers) == 1 else "B"
-        if prefix != expected:
+        form = _plane_tree_of(_rotation_system_of(code), mode)
+        if prefix != form.centrality.value:
             raise MalformedCode(f"centrality tag {prefix!r} contradicts the code {code!r}")
         # a non-canonical code would compare unequal to its own class
-        if code != _least_code(adj, centers, mode):
+        if code != form.canon:
             raise MalformedCode(f"{code!r} is not the canonical {mode.value} code of its tree")
-        return cls(canon=code, mode=mode, centrality=Centrality(prefix))
+        return form
 
 
 def rotation_system(tree: RootedPlaneTree) -> list[list[int]]:
@@ -95,33 +101,7 @@ def rotation_system(tree: RootedPlaneTree) -> list[list[int]]:
     their stored order; for the root the cyclic order is just the child
     order read cyclically.
     """
-    adj: list[list[int]] = []
-
-    def build(node: RootedPlaneTree, parent: int) -> int:
-        vid = len(adj)
-        adj.append([parent] if parent >= 0 else [])
-        for child in node.children:
-            child_id = build(child, vid)
-            adj[vid].append(child_id)
-        return vid
-
-    build(tree, -1)
-    return adj
-
-
-def _rotation_system_of(code: str) -> list[list[int]]:
-    # rotation_system(decode(code)) in one scan, for a balanced code
-    adj: list[list[int]] = [[]]
-    path = [0]
-    for ch in code:
-        if ch == "(":
-            child = len(adj)
-            adj[path[-1]].append(child)
-            adj.append([path[-1]])
-            path.append(child)
-        else:
-            path.pop()
-    return adj
+    return _rotation_system_of(encode(tree))
 
 
 def _strip_centers(adj: list[list[int]]) -> list[int]:
@@ -176,54 +156,42 @@ def center(tree: RootedPlaneTree) -> CenterResult:
     return CenterResult(centers=tuple(centers), radius=_eccentricity(adj, centers[0]))
 
 
-def _reflected(adj: list[list[int]]) -> list[list[int]]:
-    # reversing every cyclic order is exactly a planar mirror
-    return [list(reversed(nbrs)) for nbrs in adj]
-
-
-def _code_from(adj: list[list[int]], root: int, start: int) -> str:
-    parts: list[str] = []
-
-    def walk(v: int, parent: int) -> None:
+def _rooted_codes(adj: list[list[int]], root: int) -> Iterator[str]:
+    # the code rooted at root, once per rotation of root's cyclic order;
+    # each branch's "(...)" is built leaves first over a BFS order, with
+    # every vertex's children read cyclically after its parent
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    # each code is popped by its parent, so the codes held at any time
+    # belong to disjoint subtrees
+    codes: dict[int, str] = {}
+    for v in reversed(order[1:]):
         nbrs = adj[v]
-        k = nbrs.index(parent)
-        for w in nbrs[k + 1 :] + nbrs[:k]:
-            parts.append("(")
-            walk(w, v)
-            parts.append(")")
-
-    for w in adj[root][start:] + adj[root][:start]:
-        parts.append("(")
-        walk(w, root)
-        parts.append(")")
-    return "".join(parts)
+        k = nbrs.index(parent[v])
+        codes[v] = "(" + "".join([codes.pop(w) for w in nbrs[k + 1 :] + nbrs[:k]]) + ")"
+    branches = [codes.pop(w) for w in adj[root]]
+    return ("".join(branches[s:] + branches[:s]) for s in range(max(len(branches), 1)))
 
 
 def _least_code(adj: list[list[int]], roots: Iterable[int], mode: EquivalenceMode) -> str:
-    # least rooted code over the given roots, every rotation of each root's
-    # cyclic order and, in MIRROR mode, the reflected tree as well
-    systems = [adj]
+    # least rooted code over the given roots and every rotation of each
+    # root's cyclic order; in MIRROR mode over their mirror images as well
+    codes: Iterator[str] = chain.from_iterable(_rooted_codes(adj, root) for root in roots)
     if mode is EquivalenceMode.MIRROR:
-        systems.append(_reflected(adj))
-    best: str | None = None
-    for system in systems:
-        for root in roots:
-            for s in range(max(len(system[root]), 1)):
-                code = _code_from(system, root, s)
-                if best is None or code < best:
-                    best = code
-    assert best is not None
-    return best
+        codes = (min(code, code[::-1].translate(_MIRROR)) for code in codes)
+    return min(codes)
 
 
-def _tree_from(adj: list[list[int]], root: int, start: int) -> RootedPlaneTree:
-    def build(v: int, parent: int) -> RootedPlaneTree:
-        nbrs = adj[v]
-        k = nbrs.index(parent)
-        return RootedPlaneTree(tuple(build(w, v) for w in nbrs[k + 1 :] + nbrs[:k]))
-
-    order = adj[root][start:] + adj[root][:start]
-    return RootedPlaneTree(tuple(build(w, root) for w in order))
+def _plane_tree_of(adj: list[list[int]], mode: EquivalenceMode) -> PlaneTree:
+    # canonical form of the embedded tree that a rotation system describes
+    centers = _strip_centers(adj)
+    centrality = Centrality.UNICENTRAL if len(centers) == 1 else Centrality.BICENTRAL
+    return PlaneTree(canon=_least_code(adj, centers, mode), mode=mode, centrality=centrality)
 
 
 def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:
@@ -231,8 +199,7 @@ def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:
     root, each rotation of its cyclic order as the child order."""
     adj = rotation_system(tree)
     for v in range(len(adj)):
-        for s in range(max(len(adj[v]), 1)):
-            yield _tree_from(adj, v, s)
+        yield from map(decode, _rooted_codes(adj, v))
 
 
 def canonical_plane(
@@ -244,10 +211,7 @@ def canonical_plane(
     embedded tree maps to an identical PlaneTree, and (in MIRROR mode)
     so does its reflection.
     """
-    adj = rotation_system(tree)
-    centers = _strip_centers(adj)
-    centrality = Centrality.UNICENTRAL if len(centers) == 1 else Centrality.BICENTRAL
-    return PlaneTree(canon=_least_code(adj, centers, mode), mode=mode, centrality=centrality)
+    return _plane_tree_of(rotation_system(tree), mode)
 
 
 def is_isomorphic(

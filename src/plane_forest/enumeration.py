@@ -32,17 +32,18 @@ from typing import Iterator, NamedTuple, Sequence
 from .canonical import (
     Centrality,
     PlaneTree,
-    canonical_plane,
     _least_code,
-    _rotation_system_of,
+    _plane_tree_of,
     _strip_centers,
 )
 from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
+    _MIRROR,
+    _height_of,
+    _rotation_system_of,
     count_rooted,
-    decode,
     iter_dyck_codes,
 )
 
@@ -99,25 +100,13 @@ class _PoolEntry(NamedTuple):
     mirror_code: str
 
 
-_MIRROR = str.maketrans("()", ")(")
-
-
 @lru_cache(maxsize=None)
 def _pool(vertices: int) -> tuple[_PoolEntry, ...]:
-    # rooted plane trees with this many vertices as codes, in code order;
-    # reversing a code and swapping its parentheses reflects the tree
-    entries = []
-    for code in iter_dyck_codes(vertices - 1):
-        depth = height = 0
-        for ch in code:
-            if ch == "(":
-                depth += 1
-                if depth > height:
-                    height = depth
-            else:
-                depth -= 1
-        entries.append(_PoolEntry(code, height, code[::-1].translate(_MIRROR)))
-    return tuple(entries)
+    # rooted plane trees with this many vertices as codes, in code order
+    return tuple(
+        _PoolEntry(code, _height_of(code), code[::-1].translate(_MIRROR))
+        for code in iter_dyck_codes(vertices - 1)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +197,9 @@ def enumerate_plane_center(
     cap = DEFAULT_MAX_VERTICES if limit is None else limit
     if vertices > cap:
         raise LimitExceeded(f"{vertices} vertices exceeds the enumeration cap of {cap}")
-    if vertices == 1:
-        return [canonical_plane(RootedPlaneTree(), mode)]
-    if vertices == 2:
-        return [canonical_plane(decode("()"), mode)]
+    if vertices <= 2:
+        # the single vertex and the single edge have nothing to glue
+        return [_plane_tree_of(_rotation_system_of("()" * (vertices - 1)), mode)]
 
     results = [
         _glued_class(code, Centrality.UNICENTRAL, {0}, mode)
@@ -240,7 +228,10 @@ def enumerate_plane_oracle(
     cap = ORACLE_MAX_VERTICES if limit is None else limit
     if vertices > cap:
         raise LimitExceeded(f"{vertices} vertices exceeds the oracle cap of {cap}")
-    classes = {canonical_plane(decode(code), mode) for code in iter_dyck_codes(vertices - 1)}
+    classes = {
+        _plane_tree_of(_rotation_system_of(code), mode)
+        for code in iter_dyck_codes(vertices - 1)
+    }
     return sorted(classes, key=PlaneTree.serialize)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .canonical import PlaneTree, canonical_plane, _tree_from
+from .canonical import PlaneTree, _plane_tree_of
 from .enumeration import count_plane, enumerate_plane_center
 from .errors import Disconnected, HasCycle
 from .trees import EquivalenceMode
@@ -108,8 +108,7 @@ def validate_flow_graph(
             if sorted(adj[v]) != sorted(neighbors[v]):
                 raise ValueError(f"rotation at vertex {v} does not match its edges")
 
-    rooted = _tree_from(adj, 0, 0)
-    return flow_from_tree(canonical_plane(rooted, mode))
+    return flow_from_tree(_plane_tree_of(adj, mode))
 
 
 def count_flows(

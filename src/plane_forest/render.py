@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .trees import RootedPlaneTree, decode
+from .trees import RootedPlaneTree, _rotation_system_of, decode, encode
 
 FORMATS = ("dot", "svg", "ascii")
 LAYOUTS = ("layered", "radial")
@@ -47,18 +47,14 @@ def render(spec: RenderSpec) -> str:
 
 def _preorder(tree: RootedPlaneTree) -> tuple[list[int], list[int], list[int]]:
     # parent id (-1 for the root), depth and subtree vertex count of every
-    # vertex, numbered in preorder; iterative, so depth is unbounded
-    parents: list[int] = []
-    depths: list[int] = []
-    stack = [(tree, -1, 0)]
-    while stack:
-        node, parent, depth = stack.pop()
-        vid = len(parents)
-        parents.append(parent)
-        depths.append(depth)
-        stack.extend((child, vid, depth + 1) for child in reversed(node.children))
-    sizes = [1] * len(parents)
-    for vid in range(len(parents) - 1, 0, -1):
+    # vertex, numbered in preorder; a non-root vertex lists its parent first
+    adj = _rotation_system_of(encode(tree))
+    parents = [-1] + [nbrs[0] for nbrs in adj[1:]]
+    depths = [0] * len(adj)
+    for vid in range(1, len(adj)):
+        depths[vid] = depths[parents[vid]] + 1
+    sizes = [1] * len(adj)
+    for vid in range(len(adj) - 1, 0, -1):
         sizes[parents[vid]] += sizes[vid]
     return parents, depths, sizes
 

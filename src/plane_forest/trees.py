@@ -37,15 +37,19 @@ class EquivalenceMode(Enum):
     MIRROR = "mirror"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootedPlaneTree:
-    """An immutable ordered tree; a bare instance is the single-vertex tree."""
+    """An immutable ordered tree; a bare instance is the single-vertex tree.
+
+    Equality and hashing go through the parenthesis code, so they work at
+    any depth.
+    """
 
     children: tuple["RootedPlaneTree", ...] = ()
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(1 + c.edge_count for c in self.children)
+        return len(encode(self)) // 2
 
     @cached_property
     def vertex_count(self) -> int:
@@ -54,12 +58,18 @@ class RootedPlaneTree:
     @cached_property
     def height(self) -> int:
         """Longest root-to-leaf distance in edges; 0 for a single vertex."""
-        if not self.children:
-            return 0
-        return 1 + max(c.height for c in self.children)
+        return _height_of(encode(self))
 
     def is_leaf(self) -> bool:
         return not self.children
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootedPlaneTree):
+            return NotImplemented
+        return encode(self) == encode(other)
+
+    def __hash__(self) -> int:
+        return hash(encode(self))
 
     def __repr__(self) -> str:
         return f"RootedPlaneTree({encode(self)!r})"
@@ -68,14 +78,16 @@ class RootedPlaneTree:
 def encode(tree: RootedPlaneTree) -> str:
     """Balanced-parenthesis code: "(" + encode(child) + ")" per child, in order."""
     parts: list[str] = []
-
-    def walk(node: RootedPlaneTree) -> None:
-        for child in node.children:
-            parts.append("(")
-            walk(child)
+    # a None entry closes the child opened before it
+    stack: list[RootedPlaneTree | None] = list(reversed(tree.children))
+    while stack:
+        node = stack.pop()
+        if node is None:
             parts.append(")")
-
-    walk(tree)
+        else:
+            parts.append("(")
+            stack.append(None)
+            stack.extend(reversed(node.children))
     return "".join(parts)
 
 
@@ -102,12 +114,45 @@ def decode(code: str) -> RootedPlaneTree:
 
 
 def reflect(tree: RootedPlaneTree) -> RootedPlaneTree:
-    """Mirror image: reverse the child order at every vertex, recursively.
+    """Mirror image: reverse the child order at every vertex.
 
     A planar reflection flips all cyclic orders at once, so reversing only
     at the root would not model it.
     """
-    return RootedPlaneTree(tuple(reflect(c) for c in reversed(tree.children)))
+    return decode(encode(tree)[::-1].translate(_MIRROR))
+
+
+#: Reversing a code and swapping its parentheses reflects the tree.
+_MIRROR = str.maketrans("()", ")(")
+
+
+def _height_of(code: str) -> int:
+    # maximum nesting depth of a balanced code
+    depth = height = 0
+    for ch in code:
+        if ch == "(":
+            depth += 1
+            if depth > height:
+                height = depth
+        else:
+            depth -= 1
+    return height
+
+
+def _rotation_system_of(code: str) -> list[list[int]]:
+    # rotation system of the tree of a balanced code in one scan: vertices
+    # in preorder, each non-root vertex's parent first, then its children
+    adj: list[list[int]] = [[]]
+    path = [0]
+    for ch in code:
+        if ch == "(":
+            child = len(adj)
+            adj[path[-1]].append(child)
+            adj.append([path[-1]])
+            path.append(child)
+        else:
+            path.pop()
+    return adj
 
 
 def max_rooted_edges() -> int:

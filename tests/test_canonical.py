@@ -134,6 +134,14 @@ class TestCanonicalPlane:
 
     @given(tree_strategy())
     @settings(max_examples=60)
+    def test_mirror_canon_is_least_oriented_canon_of_tree_and_reflection(self, tree):
+        mirror = canonical_plane(tree, MIRROR)
+        forms = [canonical_plane(tree, ORIENTED), canonical_plane(reflect(tree), ORIENTED)]
+        assert mirror.canon == min(form.canon for form in forms)
+        assert {form.centrality for form in forms} == {mirror.centrality}
+
+    @given(tree_strategy())
+    @settings(max_examples=60)
     def test_mode_refinement(self, tree):
         for rep in list(rooted_representatives(tree))[:6]:
             if is_isomorphic(tree, rep, ORIENTED):

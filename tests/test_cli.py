@@ -4,7 +4,18 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from plane_forest import decode
+from plane_forest import (
+    CenterResult,
+    EquivalenceMode,
+    PlaneTree,
+    canonical_plane,
+    center,
+    decode,
+    encode,
+    reflect,
+    rotation_system,
+    validate_flow_graph,
+)
 from plane_forest.cli import main
 
 
@@ -228,6 +239,45 @@ class TestRender:
         code, _, _ = run(capsys, "render", "--code", "()()", "--format", "svg", "--out", str(target))
         assert code == 0 and target.exists()
         ET.fromstring(target.read_text())
+
+
+class TestDeepPath:
+    # a path 10^4 edges deep through every tree walk of the library
+    DEPTH = 10_000
+    CODE = "(" * DEPTH + ")" * DEPTH
+    HALF = "(" * (DEPTH // 2) + ")" * (DEPTH // 2)
+
+    def test_encode_and_reflect(self):
+        tree = decode(self.CODE)
+        assert encode(tree) == self.CODE
+        assert encode(reflect(tree)) == self.CODE
+
+    def test_equality_and_hash(self):
+        assert decode(self.CODE) == decode(self.CODE)
+        assert hash(decode(self.CODE)) == hash(decode(self.CODE))
+        assert decode(self.CODE) != decode(self.CODE[1:-1])
+
+    def test_shape_numbers(self):
+        tree = decode(self.CODE)
+        assert tree.height == self.DEPTH
+        assert tree.vertex_count == self.DEPTH + 1
+
+    def test_rotation_system_and_center(self):
+        tree = decode(self.CODE)
+        adj = rotation_system(tree)
+        assert adj[0] == [1] and adj[self.DEPTH] == [self.DEPTH - 1]
+        assert center(tree) == CenterResult(centers=(self.DEPTH // 2,), radius=self.DEPTH // 2)
+
+    @pytest.mark.parametrize("mode", list(EquivalenceMode))
+    def test_canonical_plane_and_parse(self, mode):
+        form = canonical_plane(decode(self.CODE), mode)
+        assert form.serialize() == "U:" + self.HALF * 2
+        assert PlaneTree.parse(form.serialize(), mode) == form
+
+    def test_validate_flow_graph(self):
+        edges = [(v, v + 1) for v in range(self.DEPTH)]
+        flow = validate_flow_graph(self.DEPTH + 1, edges)
+        assert flow.separatrices.serialize() == "U:" + self.HALF * 2
 
 
 class TestContract:
