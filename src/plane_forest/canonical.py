@@ -28,7 +28,9 @@ from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _MIRROR,
+    _height_of,
     _rotation_system_of,
+    _tree_of,
     decode,
     encode,
 )
@@ -128,32 +130,17 @@ def _strip_centers(adj: list[list[int]]) -> list[int]:
     return [v for v in range(n) if not removed[v]]
 
 
-def _eccentricity(adj: list[list[int]], start: int) -> int:
-    dist = {start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth = dist[frontier[0]]
-        nxt: list[int] = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return depth
-
-
 def center(tree: RootedPlaneTree) -> CenterResult:
     """Standard tree center(s) by iterated leaf removal, with the radius.
 
     Single vertices and single edges are their own centers. The radius is
     the eccentricity of a center, i.e. the minimum eccentricity over all
-    vertices.
+    vertices: the height of the tree rooted there.
     """
     adj = rotation_system(tree)
     centers = sorted(_strip_centers(adj))
-    return CenterResult(centers=tuple(centers), radius=_eccentricity(adj, centers[0]))
+    radius = _height_of(next(_rooted_codes(adj, centers[0])))
+    return CenterResult(centers=tuple(centers), radius=radius)
 
 
 def _rooted_codes(adj: list[list[int]], root: int) -> Iterator[str]:
@@ -199,7 +186,7 @@ def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:
     root, each rotation of its cyclic order as the child order."""
     adj = rotation_system(tree)
     for v in range(len(adj)):
-        yield from map(decode, _rooted_codes(adj, v))
+        yield from map(_tree_of, _rooted_codes(adj, v))
 
 
 def canonical_plane(

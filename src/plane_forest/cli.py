@@ -97,16 +97,11 @@ def cmd_flows(args: argparse.Namespace) -> int:
 def _partitions_agree(vertices: int, mode: EquivalenceMode) -> bool:
     # the center-rooted canon and the all-rootings canon must induce the
     # same equivalence classes on the full rooted enumeration
-    fast_to_slow: dict[str, str] = {}
-    slow_to_fast: dict[str, str] = {}
-    for tree in enumerate_rooted(vertices - 1):
-        fast = canonical_plane(tree, mode).serialize()
-        slow = rerooting_oracle_canon(tree, mode)
-        if fast_to_slow.setdefault(fast, slow) != slow:
-            return False
-        if slow_to_fast.setdefault(slow, fast) != fast:
-            return False
-    return True
+    pairs = {
+        (canonical_plane(tree, mode).serialize(), rerooting_oracle_canon(tree, mode))
+        for tree in enumerate_rooted(vertices - 1)
+    }
+    return len(pairs) == len({fast for fast, _ in pairs}) == len({slow for _, slow in pairs})
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -144,6 +139,14 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    # a cap below one vertex would check and list nothing
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plane-forest",
@@ -163,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-vertices",
-            type=int,
+            type=positive_int,
             default=None,
             help="raise or lower the plane enumeration cap",
         )

@@ -43,7 +43,9 @@ from .trees import (
     _MIRROR,
     _height_of,
     _rotation_system_of,
+    _tree_of,
     count_rooted,
+    encode,
     iter_dyck_codes,
 )
 
@@ -91,7 +93,7 @@ def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
     if spec.kind is Centrality.UNICENTRAL:
         return RootedPlaneTree(spec.parts)
     first, second = spec.parts
-    return RootedPlaneTree(tuple(first.children) + (RootedPlaneTree(second.children),))
+    return _tree_of(encode(first) + "(" + encode(second) + ")")
 
 
 class _PoolEntry(NamedTuple):

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, MalformedCode
 
@@ -37,58 +37,63 @@ class EquivalenceMode(Enum):
     MIRROR = "mirror"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, repr=False)
 class RootedPlaneTree:
-    """An immutable ordered tree; a bare instance is the single-vertex tree.
+    """An immutable ordered tree, held as its parenthesis code.
 
-    Equality and hashing go through the parenthesis code, so they work at
+    `RootedPlaneTree()` is the single-vertex tree and
+    `RootedPlaneTree(children)` hangs the given subtrees below a new root,
+    in order. Equality and hashing are those of the code, so they work at
     any depth.
     """
 
-    children: tuple["RootedPlaneTree", ...] = ()
+    _code: str
 
-    @cached_property
+    def __init__(self, children: Iterable["RootedPlaneTree"] = ()) -> None:
+        object.__setattr__(self, "_code", "".join(["(" + c._code + ")" for c in children]))
+
+    @property
+    def children(self) -> tuple["RootedPlaneTree", ...]:
+        """The subtrees below the root: the primitive factors of the code."""
+        kids: list[RootedPlaneTree] = []
+        depth = start = 0
+        for i, ch in enumerate(self._code):
+            depth += 1 if ch == "(" else -1
+            if depth == 0:
+                kids.append(_tree_of(self._code[start + 1 : i]))
+                start = i + 1
+        return tuple(kids)
+
+    @property
     def edge_count(self) -> int:
-        return len(encode(self)) // 2
+        return len(self._code) // 2
 
-    @cached_property
+    @property
     def vertex_count(self) -> int:
         return self.edge_count + 1
 
     @cached_property
     def height(self) -> int:
         """Longest root-to-leaf distance in edges; 0 for a single vertex."""
-        return _height_of(encode(self))
+        return _height_of(self._code)
 
     def is_leaf(self) -> bool:
-        return not self.children
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RootedPlaneTree):
-            return NotImplemented
-        return encode(self) == encode(other)
-
-    def __hash__(self) -> int:
-        return hash(encode(self))
+        return not self._code
 
     def __repr__(self) -> str:
-        return f"RootedPlaneTree({encode(self)!r})"
+        return f"RootedPlaneTree({self._code!r})"
+
+
+def _tree_of(code: str) -> RootedPlaneTree:
+    # wrap a code known to be balanced, without scanning it again
+    tree = object.__new__(RootedPlaneTree)
+    object.__setattr__(tree, "_code", code)
+    return tree
 
 
 def encode(tree: RootedPlaneTree) -> str:
     """Balanced-parenthesis code: "(" + encode(child) + ")" per child, in order."""
-    parts: list[str] = []
-    # a None entry closes the child opened before it
-    stack: list[RootedPlaneTree | None] = list(reversed(tree.children))
-    while stack:
-        node = stack.pop()
-        if node is None:
-            parts.append(")")
-        else:
-            parts.append("(")
-            stack.append(None)
-            stack.extend(reversed(node.children))
-    return "".join(parts)
+    return tree._code
 
 
 def decode(code: str) -> RootedPlaneTree:
@@ -97,20 +102,8 @@ def decode(code: str) -> RootedPlaneTree:
     Raises MalformedCode on foreign characters or unbalanced input; the
     empty string decodes to the single-vertex tree.
     """
-    stack: list[list[RootedPlaneTree]] = [[]]
-    for i, ch in enumerate(code):
-        if ch == "(":
-            stack.append([])
-        elif ch == ")":
-            if len(stack) == 1:
-                raise MalformedCode(f"unmatched ')' at position {i}: {code!r}")
-            children = stack.pop()
-            stack[-1].append(RootedPlaneTree(tuple(children)))
-        else:
-            raise MalformedCode(f"foreign character {ch!r} at position {i}: {code!r}")
-    if len(stack) != 1:
-        raise MalformedCode(f"{len(stack) - 1} unclosed '(' in {code!r}")
-    return RootedPlaneTree(tuple(stack[0]))
+    _height_of(code)
+    return _tree_of(code)
 
 
 def reflect(tree: RootedPlaneTree) -> RootedPlaneTree:
@@ -119,7 +112,7 @@ def reflect(tree: RootedPlaneTree) -> RootedPlaneTree:
     A planar reflection flips all cyclic orders at once, so reversing only
     at the root would not model it.
     """
-    return decode(encode(tree)[::-1].translate(_MIRROR))
+    return _tree_of(tree._code[::-1].translate(_MIRROR))
 
 
 #: Reversing a code and swapping its parentheses reflects the tree.
@@ -127,15 +120,21 @@ _MIRROR = str.maketrans("()", ")(")
 
 
 def _height_of(code: str) -> int:
-    # maximum nesting depth of a balanced code
+    # maximum nesting depth of a code; MalformedCode unless it is balanced
     depth = height = 0
-    for ch in code:
+    for i, ch in enumerate(code):
         if ch == "(":
             depth += 1
             if depth > height:
                 height = depth
-        else:
+        elif ch == ")":
+            if not depth:
+                raise MalformedCode(f"unmatched ')' at position {i}: {code!r}")
             depth -= 1
+        else:
+            raise MalformedCode(f"foreign character {ch!r} at position {i}: {code!r}")
+    if depth:
+        raise MalformedCode(f"{depth} unclosed '(' in {code!r}")
     return height
 
 
@@ -214,7 +213,7 @@ def enumerate_rooted(edges: int, *, limit: int | None = None) -> Iterator[Rooted
     Emitted in lexicographic order of the parenthesis code; the number of
     trees is Catalan(edges). Cap handling as in :func:`rooted_codes`.
     """
-    return (decode(code) for code in rooted_codes(edges, limit=limit))
+    return (_tree_of(code) for code in rooted_codes(edges, limit=limit))
 
 
 def count_rooted(edges: int) -> int:

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -152,6 +154,17 @@ class TestVerify:
         assert "oriented=ok" in out and "mirror=ok" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [lambda tree, mode: "merged", lambda tree, mode: encode(tree)],
+        ids=["merges-classes", "splits-classes"],
+    )
+    def test_partition_disagreement_fails(self, capsys, monkeypatch, oracle):
+        monkeypatch.setattr("plane_forest.cli.rerooting_oracle_canon", oracle)
+        code, out, err = run(capsys, "verify", "--max-vertices", "6")
+        assert code == 2
+        assert "FAIL" in out and "internal checks: FAILED" in err
+
 
 class TestRender:
     def test_ascii_two_lines(self, capsys):
@@ -257,6 +270,11 @@ class TestDeepPath:
         assert hash(decode(self.CODE)) == hash(decode(self.CODE))
         assert decode(self.CODE) != decode(self.CODE[1:-1])
 
+    def test_pickle_and_deepcopy(self):
+        tree = decode(self.CODE)
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+
     def test_shape_numbers(self):
         tree = decode(self.CODE)
         assert tree.height == self.DEPTH
@@ -294,6 +312,22 @@ class TestContract:
         first = run(capsys, "enumerate", "--vertices", "8", "--format", "json")
         second = run(capsys, "enumerate", "--vertices", "8", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--vertices", "5"],
+            ["enumerate", "--vertices", "5"],
+            ["flows", "--saddles", "4"],
+            ["verify"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cap_below_one_is_usage_error(self, capsys, argv, cap):
+        code, out, err = run(capsys, *argv, "--max-vertices", cap)
+        assert code == 1 and out == ""
+        assert "--max-vertices" in err and "must be at least 1" in err
 
     def test_env_cap_reaches_cli(self, capsys, monkeypatch):
         monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")

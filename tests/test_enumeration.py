@@ -17,6 +17,7 @@ from plane_forest import (
     count_plane,
     count_rooted,
     decode,
+    encode,
     enumerate_plane_center,
     enumerate_plane_oracle,
     enumerate_rooted,
@@ -164,6 +165,7 @@ class TestGluingSpec:
             Centrality.BICENTRAL, (decode("()"), decode("()")), target_vertices=4
         )
         tree = assemble(spec)
+        assert encode(tree) == "()(())"
         assert tree.vertex_count == 4
         assert center(tree).centers == (0, 2)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,16 @@ from helpers import tree_strategy
 
 
 LEAF = RootedPlaneTree()
+
+# malformed code -> the part of its error message that locates the fault
+MALFORMED = {
+    "(()": "1 unclosed '('",
+    "())": "unmatched ')' at position 2",
+    ")(": "unmatched ')' at position 0",
+    "( )": "foreign character ' ' at position 1",
+    "x": "foreign character 'x' at position 0",
+    "(a)": "foreign character 'a' at position 1",
+}
 
 
 def catalan_by_recurrence(n: int) -> int:
@@ -56,14 +67,19 @@ class TestDecode:
     def test_empty_is_single_vertex(self):
         assert decode("") == LEAF
 
-    @pytest.mark.parametrize("bad", ["(()", "())", ")(", "( )", "x", "(a)"])
+    @pytest.mark.parametrize("bad", list(MALFORMED))
     def test_malformed(self, bad):
-        with pytest.raises(MalformedCode):
+        with pytest.raises(MalformedCode, match=re.escape(MALFORMED[bad])):
             decode(bad)
+
+    def test_repr_shows_the_code(self):
+        assert repr(decode("(())()")) == "RootedPlaneTree('(())()')"
 
     @given(tree_strategy())
     def test_round_trip(self, tree):
         assert decode(encode(tree)) == tree
+        assert RootedPlaneTree(tree.children) == tree
+        assert "".join("(" + encode(c) + ")" for c in tree.children) == encode(tree)
 
 
 class TestHeight:
