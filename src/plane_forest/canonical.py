@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, MalformedCode
@@ -139,14 +138,14 @@ def center(tree: RootedPlaneTree) -> CenterResult:
     """
     adj = rotation_system(tree)
     centers = sorted(_strip_centers(adj))
-    radius = _height_of(next(_rooted_codes(adj, centers[0])))
+    radius = _height_of("".join(_rooted_codes(adj, centers[0])))
     return CenterResult(centers=tuple(centers), radius=radius)
 
 
-def _rooted_codes(adj: list[list[int]], root: int) -> Iterator[str]:
-    # the code rooted at root, once per rotation of root's cyclic order;
-    # each branch's "(...)" is built leaves first over a BFS order, with
-    # every vertex's children read cyclically after its parent
+def _rooted_codes(adj: list[list[int]], root: int) -> list[str]:
+    # the branch words "(...)" at root, in root's cyclic order; each is
+    # built leaves first over a BFS order, with every vertex's children
+    # read cyclically after its parent
     parent = [-1] * len(adj)
     order = [root]
     for v in order:
@@ -161,17 +160,22 @@ def _rooted_codes(adj: list[list[int]], root: int) -> Iterator[str]:
         nbrs = adj[v]
         k = nbrs.index(parent[v])
         codes[v] = "(" + "".join([codes.pop(w) for w in nbrs[k + 1 :] + nbrs[:k]]) + ")"
-    branches = [codes.pop(w) for w in adj[root]]
-    return ("".join(branches[s:] + branches[:s]) for s in range(max(len(branches), 1)))
+    return [codes.pop(w) for w in adj[root]]
+
+
+def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
+    # least code over the rotations of a root's branch words (and their
+    # mirror images, in MIRROR mode); branch words are primitive Dyck
+    # words, a prefix code, so word lists compare as their joins do
+    orders = [words]
+    if mode is EquivalenceMode.MIRROR:
+        orders.append([word[::-1].translate(_MIRROR) for word in reversed(words)])
+    return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
 
 
 def _least_code(adj: list[list[int]], roots: Iterable[int], mode: EquivalenceMode) -> str:
-    # least rooted code over the given roots and every rotation of each
-    # root's cyclic order; in MIRROR mode over their mirror images as well
-    codes: Iterator[str] = chain.from_iterable(_rooted_codes(adj, root) for root in roots)
-    if mode is EquivalenceMode.MIRROR:
-        codes = (min(code, code[::-1].translate(_MIRROR)) for code in codes)
-    return min(codes)
+    # least rooted code over the given roots
+    return min(_least_rotation(_rooted_codes(adj, root), mode) for root in roots)
 
 
 def _plane_tree_of(adj: list[list[int]], mode: EquivalenceMode) -> PlaneTree:
@@ -186,7 +190,9 @@ def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:
     root, each rotation of its cyclic order as the child order."""
     adj = rotation_system(tree)
     for v in range(len(adj)):
-        yield from map(_tree_of, _rooted_codes(adj, v))
+        words = _rooted_codes(adj, v)
+        for s in range(len(words) or 1):
+            yield _tree_of("".join(words[s:] + words[:s]))
 
 
 def canonical_plane(

@@ -50,8 +50,15 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         raise
 
 
+def _rooted_route(args: argparse.Namespace) -> bool:
+    # --edges selects the rooted trees, which --max-vertices does not cap
+    if args.edges is not None and args.max_vertices is not None:
+        raise ValueError("--max-vertices caps plane trees by vertices, not --edges")
+    return args.edges is not None
+
+
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.edges is not None:
+    if _rooted_route(args):
         value = count_rooted(args.edges)
     else:
         value = count_plane(args.vertices, EquivalenceMode(args.mode), limit=args.max_vertices)
@@ -60,7 +67,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.edges is not None:
+    if _rooted_route(args):
         if args.format == "codes":
             _emit((code + "\n" for code in rooted_codes(args.edges)), args.out)
         elif args.format == "catalog":

@@ -4,17 +4,17 @@ Every tree of the plane with n >= 3 vertices is either unicentral (one
 center vertex whose branches are rooted plane trees, at least two of them
 of maximal height) or bicentral (a central edge joining two rooted halves
 of equal height). Generating exactly one branch arrangement per rotation
-class (necklace filter) and one half pair per swap class therefore yields
-every isomorphism class exactly once; in MIRROR mode the filters also
-quotient by reflection (bracelet filter with reflected parts).
+class (and, in MIRROR mode, per reflection class) and one half pair per
+swap class therefore yields every isomorphism class exactly once.
 
 The gluing works on parenthesis codes throughout. The branch pool holds
-each rooted plane tree as its code, its height (maximum nesting depth) and
-the code of its mirror image; bicentral halves are paired only within a
-height bucket of the pool. A glued tree is a code too: branches `b` around
-a center give the concatenation of the `(b)`, and halves `a`, `b` joined by
-an edge give `a(b)`. Each glued code has its center checked by leaf
-stripping and is canonicalized by the same minimisation as canonical_plane.
+each rooted plane tree `b` as its branch word `(b)` and its height;
+bicentral halves are paired only within a height bucket. Branch words are
+primitive Dyck words, a prefix code, so word lists order as their joins
+do: a branch tuple is kept exactly when its join is its least rotation
+(and mirror image, in MIRROR mode), and that join is its class's canonical
+code. Halves `a`, `b` joined by an edge give `a(b)`, canonical as the
+least rotation at either endpoint. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -29,18 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .canonical import (
-    Centrality,
-    PlaneTree,
-    _least_code,
-    _plane_tree_of,
-    _strip_centers,
-)
+from .canonical import Centrality, PlaneTree, _least_rotation, _plane_tree_of
 from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _MIRROR,
+    _factors,
     _height_of,
     _rotation_system_of,
     _tree_of,
@@ -97,17 +92,15 @@ def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
 
 
 class _PoolEntry(NamedTuple):
-    code: str
-    height: int
-    mirror_code: str
+    word: str  # a rooted plane tree's code wrapped as a branch, "(b)"
+    height: int  # the height of the tree b
 
 
 @lru_cache(maxsize=None)
 def _pool(vertices: int) -> tuple[_PoolEntry, ...]:
-    # rooted plane trees with this many vertices as codes, in code order
+    # rooted plane trees with this many vertices as branch words, in code order
     return tuple(
-        _PoolEntry(code, _height_of(code), code[::-1].translate(_MIRROR))
-        for code in iter_dyck_codes(vertices - 1)
+        _PoolEntry("(" + code + ")", _height_of(code)) for code in iter_dyck_codes(vertices - 1)
     )
 
 
@@ -120,10 +113,6 @@ def _height_buckets(vertices: int) -> dict[int, tuple[_PoolEntry, ...]]:
     return {height: tuple(entries) for height, entries in buckets.items()}
 
 
-def _min_rotation(seq: tuple[str, ...]) -> tuple[str, ...]:
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     # ordered tuples of k positive integers summing to total
     for cuts in itertools.combinations(range(1, total), k - 1):
@@ -132,6 +121,7 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _unicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
+    # canonical codes: branch words in the order whose join is least
     budget = vertices - 1
     for k in range(2, budget + 1):
         for sizes in _compositions(budget, k):
@@ -139,18 +129,14 @@ def _unicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
                 heights = [e.height for e in combo]
                 if heights.count(max(heights)) < 2:
                     continue
-                codes = tuple(e.code for e in combo)
-                if codes != _min_rotation(codes):
-                    continue
-                if mode is EquivalenceMode.MIRROR:
-                    mirrored = tuple(e.mirror_code for e in reversed(combo))
-                    if _min_rotation(mirrored) < codes:
-                        continue
-                yield "".join("(" + code + ")" for code in codes)
+                words = [e.word for e in combo]
+                code = "".join(words)
+                if _least_rotation(words, mode) == code:
+                    yield code
 
 
-def _bicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[tuple[str, int]]:
-    # glued codes with the vertex count of the first half; a one-vertex
+def _bicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
+    # canonical codes of halves a(b), least over both ends; a one-vertex
     # half has height 0, which no half of two or more vertices matches
     for n1 in range(2, vertices // 2 + 1):
         n2 = vertices - n1
@@ -165,21 +151,14 @@ def _bicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[tuple[str
                 pairs = itertools.product(bucket, second.get(height, ()))
             for a, b in pairs:
                 if mode is EquivalenceMode.MIRROR:
-                    original = tuple(sorted((a.code, b.code)))
-                    reflected = tuple(sorted((a.mirror_code, b.mirror_code)))
+                    original = sorted((a.word, b.word))
+                    reflected = sorted(w[::-1].translate(_MIRROR) for w in (a.word, b.word))
                     if reflected < original:
                         continue
-                yield a.code + "(" + b.code + ")", n1
-
-
-def _glued_class(
-    code: str, kind: Centrality, expected: set[int], mode: EquivalenceMode
-) -> PlaneTree:
-    # the glued vertex/edge must come back as the computed center
-    adj = _rotation_system_of(code)
-    centers = _strip_centers(adj)
-    assert set(centers) == expected, f"glued at {expected}, center found at {centers}"
-    return PlaneTree(canon=_least_code(adj, centers, mode), mode=mode, centrality=kind)
+                yield min(
+                    _least_rotation(_factors(a.word[1:-1]) + [b.word], mode),
+                    _least_rotation(_factors(b.word[1:-1]) + [a.word], mode),
+                )
 
 
 def enumerate_plane_center(
@@ -204,15 +183,15 @@ def enumerate_plane_center(
         return [_plane_tree_of(_rotation_system_of("()" * (vertices - 1)), mode)]
 
     results = [
-        _glued_class(code, Centrality.UNICENTRAL, {0}, mode)
+        PlaneTree(canon=code, mode=mode, centrality=Centrality.UNICENTRAL)
         for code in _unicentral_codes(vertices, mode)
     ]
     results.extend(
-        _glued_class(code, Centrality.BICENTRAL, {0, n1}, mode)
-        for code, n1 in _bicentral_codes(vertices, mode)
+        PlaneTree(canon=code, mode=mode, centrality=Centrality.BICENTRAL)
+        for code in _bicentral_codes(vertices, mode)
     )
     results.sort(key=PlaneTree.serialize)
-    # the necklace/pair filters must already be duplicate-free
+    # the least-rotation test and the pair filter must be duplicate-free
     assert all(x != y for x, y in zip(results, results[1:])), "gluing emitted a duplicate"
     return results
 

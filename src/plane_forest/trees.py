@@ -55,14 +55,7 @@ class RootedPlaneTree:
     @property
     def children(self) -> tuple["RootedPlaneTree", ...]:
         """The subtrees below the root: the primitive factors of the code."""
-        kids: list[RootedPlaneTree] = []
-        depth = start = 0
-        for i, ch in enumerate(self._code):
-            depth += 1 if ch == "(" else -1
-            if depth == 0:
-                kids.append(_tree_of(self._code[start + 1 : i]))
-                start = i + 1
-        return tuple(kids)
+        return tuple(_tree_of(factor[1:-1]) for factor in _factors(self._code))
 
     @property
     def edge_count(self) -> int:
@@ -136,6 +129,18 @@ def _height_of(code: str) -> int:
     if depth:
         raise MalformedCode(f"{depth} unclosed '(' in {code!r}")
     return height
+
+
+def _factors(code: str) -> list[str]:
+    # the primitive factors "(b)" of a balanced code, one per root branch
+    factors: list[str] = []
+    depth = start = 0
+    for i, ch in enumerate(code):
+        depth += 1 if ch == "(" else -1
+        if depth == 0:
+            factors.append(code[start : i + 1])
+            start = i + 1
+    return factors
 
 
 def _rotation_system_of(code: str) -> list[list[int]]:

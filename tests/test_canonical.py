@@ -20,6 +20,7 @@ from plane_forest import (
     rooted_representatives,
     rotation_system,
 )
+from plane_forest.canonical import _least_rotation
 
 from helpers import tree_strategy
 
@@ -139,6 +140,17 @@ class TestCanonicalPlane:
         forms = [canonical_plane(tree, ORIENTED), canonical_plane(reflect(tree), ORIENTED)]
         assert mirror.canon == min(form.canon for form in forms)
         assert {form.centrality for form in forms} == {mirror.centrality}
+
+    @given(tree_strategy())
+    @settings(max_examples=60)
+    def test_least_rotation_orders_branch_words_as_their_joins(self, tree):
+        # branch words are a prefix code, so the least word list is the
+        # least joined code over the root's rotations (and reflections)
+        words = ["(" + encode(child) + ")" for child in tree.children]
+        joins = ["".join(words[s:] + words[:s]) for s in range(max(len(words), 1))]
+        assert _least_rotation(words, ORIENTED) == min(joins)
+        reflections = [encode(reflect(decode(code))) for code in joins]
+        assert _least_rotation(words, MIRROR) == min(joins + reflections)
 
     @given(tree_strategy())
     @settings(max_examples=60)

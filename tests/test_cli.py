@@ -329,6 +329,14 @@ class TestContract:
         assert code == 1 and out == ""
         assert "--max-vertices" in err and "must be at least 1" in err
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_vertex_cap_with_edges_is_input_error(self, capsys, command):
+        # the rooted route is capped by PLANE_FOREST_MAX_EDGES alone
+        code, out, err = run(capsys, command, "--edges", "4", "--max-vertices", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--max-vertices" in err
+
     def test_env_cap_reaches_cli(self, capsys, monkeypatch):
         monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")
         code, _, err = run(capsys, "enumerate", "--edges", "3")

@@ -33,7 +33,9 @@ MIRROR_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 12, 8: 27, 9: 65, 10: 17
 
 # above the oracle cap: computed by the object-based gluing route (which
 # built every branch as a RootedPlaneTree) and frozen; the SHA-256 is that
-# of catalog_text(v, mode, enumerate_plane_center(v, mode, limit=v))
+# of catalog_text(v, mode, enumerate_plane_center(v, mode, limit=v)). The
+# v=13 digests come from the gluing route that still leaf-stripped and
+# re-minimised every glued code.
 GLUED_COUNTS = {
     ORIENTED: {11: 854, 12: 2694, 13: 8714},
     MIRROR: {11: 490, 12: 1473, 13: 4588},
@@ -43,6 +45,8 @@ GLUED_DIGESTS = {
     (11, MIRROR): "91432425e8757be5da289668f93968db73c1c3db44bf27b8d8225903e35eb0d0",
     (12, ORIENTED): "f7c65fbdc68db961b9d7d4e6e340e4fcb182c3a8aced3fe58835b6fb87376200",
     (12, MIRROR): "44198e220aaf99edc8d5689840707316483a4532563fe59f884545d1ca87d9fb",
+    (13, ORIENTED): "df97591bcbf582300ca787ea370a2a03d724a52ec488c8cf4ed519dc7261fdbc",
+    (13, MIRROR): "871f2b02b22ebbb5b159ae4e0ec9a1fa3908927e657dbb1922c595612bd9b0fc",
 }
 
 
@@ -109,13 +113,17 @@ class TestCenterRoute:
             assert forms == sorted(forms)
 
     def test_center_soundness_on_output(self):
-        for vertices in range(3, 9):
-            for form in enumerate_plane_center(vertices, ORIENTED):
-                tree = decode(form.canon)
-                centers = center(tree).centers
-                assert 0 in centers
-                expected = 1 if form.centrality is Centrality.UNICENTRAL else 2
-                assert len(centers) == expected
+        # gluing emits canonical codes without rescanning them, so every
+        # class must root at its own center and canonicalize to itself
+        for mode in (ORIENTED, MIRROR):
+            for vertices in range(3, 13):
+                for form in _glued(vertices, mode):
+                    tree = decode(form.canon)
+                    centers = center(tree).centers
+                    assert 0 in centers
+                    expected = 1 if form.centrality is Centrality.UNICENTRAL else 2
+                    assert len(centers) == expected
+                    assert canonical_plane(tree, mode) == form
 
     def test_sum_check_recovers_catalan(self):
         # grouping the full rooted enumeration by plane class loses nothing
