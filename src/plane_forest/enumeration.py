@@ -8,8 +8,10 @@ class (and, in MIRROR mode, per reflection class) and one half pair per
 swap class therefore yields every isomorphism class exactly once.
 
 The gluing works on parenthesis codes throughout. The branch pool holds
-each rooted plane tree `b` as its branch word `(b)` and its height;
-bicentral halves are paired only within a height bucket. Branch words are
+each rooted plane tree `b` that fits below a center, as its branch word
+`(b)` and its height, under a height cap worked out from the vertex count:
+a unicentral branch needs a sibling as tall, and bicentral halves pair
+only at equal heights, no taller than the smaller half. Branch words are
 primitive Dyck words, a prefix code, so word lists order as their joins
 do: a branch tuple is kept exactly when its join is its least rotation
 (and mirror image, in MIRROR mode), and that join is its class's canonical
@@ -35,6 +37,7 @@ from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _MIRROR,
+    _dyck_codes,
     _factors,
     _height_of,
     _rotation_system_of,
@@ -97,20 +100,12 @@ class _PoolEntry(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _pool(vertices: int) -> tuple[_PoolEntry, ...]:
-    # rooted plane trees with this many vertices as branch words, in code order
+def _pool(vertices: int, max_height: int) -> tuple[_PoolEntry, ...]:
+    # branch words of the trees of this size and height <= max_height, in code order
     return tuple(
-        _PoolEntry("(" + code + ")", _height_of(code)) for code in iter_dyck_codes(vertices - 1)
+        _PoolEntry("(" + code + ")", _height_of(code))
+        for code in _dyck_codes(vertices - 1, max_height)
     )
-
-
-@lru_cache(maxsize=None)
-def _height_buckets(vertices: int) -> dict[int, tuple[_PoolEntry, ...]]:
-    # the pool split by height, each bucket still in code order
-    buckets: dict[int, list[_PoolEntry]] = {}
-    for entry in _pool(vertices):
-        buckets.setdefault(entry.height, []).append(entry)
-    return {height: tuple(entries) for height, entries in buckets.items()}
 
 
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -121,11 +116,12 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _unicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
-    # canonical codes: branch words in the order whose join is least
+    # canonical codes: branch words in the order whose join is least; a
+    # branch of s vertices has a sibling as tall, so height <= budget - 1 - s
     budget = vertices - 1
     for k in range(2, budget + 1):
         for sizes in _compositions(budget, k):
-            for combo in itertools.product(*(_pool(s) for s in sizes)):
+            for combo in itertools.product(*(_pool(s, budget - 1 - s) for s in sizes)):
                 heights = [e.height for e in combo]
                 if heights.count(max(heights)) < 2:
                     continue
@@ -136,19 +132,20 @@ def _unicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
 
 
 def _bicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
-    # canonical codes of halves a(b), least over both ends; a one-vertex
-    # half has height 0, which no half of two or more vertices matches
+    # canonical codes of halves a(b) of equal height 1..n1-1, least over
+    # both ends; a one-vertex half has height 0, which no larger half has
     for n1 in range(2, vertices // 2 + 1):
         n2 = vertices - n1
-        first, second = _height_buckets(n1), _height_buckets(n2)
-        for height, bucket in first.items():
+        for height in range(1, n1):
+            first = [e for e in _pool(n1, height) if e.height == height]
             if n1 == n2:
-                # buckets are code-sorted, so these pairs come out with a <= b
+                # the pool is code-sorted, so these pairs come out with a <= b
                 pairs: Iterator[tuple[_PoolEntry, _PoolEntry]] = (
-                    itertools.combinations_with_replacement(bucket, 2)
+                    itertools.combinations_with_replacement(first, 2)
                 )
             else:
-                pairs = itertools.product(bucket, second.get(height, ()))
+                second = [e for e in _pool(n2, height) if e.height == height]
+                pairs = itertools.product(first, second)
             for a, b in pairs:
                 if mode is EquivalenceMode.MIRROR:
                     original = sorted((a.word, b.word))

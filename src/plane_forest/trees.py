@@ -176,25 +176,27 @@ def max_rooted_edges() -> int:
 def iter_dyck_codes(edges: int) -> Iterator[str]:
     """All balanced strings with `edges` pairs, in lexicographic order.
 
-    Streams with flat memory; '(' sorts before ')', so the fully nested
-    code comes first and "()()..." last.
+    A stream: memory grows with `edges`, not with the number of codes.
+    '(' sorts before ')', so the fully nested code comes first and
+    "()()..." last.
     """
-    buf: list[str] = []
+    return _dyck_codes(edges, edges)
 
-    def extend(opens_left: int, balance: int) -> Iterator[str]:
-        if opens_left == 0 and balance == 0:
-            yield "".join(buf)
-            return
-        if opens_left > 0:
-            buf.append("(")
-            yield from extend(opens_left - 1, balance + 1)
-            buf.pop()
-        if balance > 0:
-            buf.append(")")
-            yield from extend(opens_left, balance - 1)
-            buf.pop()
 
-    yield from extend(edges, 0)
+def _dyck_codes(edges: int, max_height: int) -> Iterator[str]:
+    # the codes of iter_dyck_codes whose nesting depth is at most
+    # max_height, in the same order: a stack of (prefix, opens_left, depth)
+    # that pushes ')' before '(', so the '(' branch is walked first
+    stack = [("", edges, 0)] if edges >= 0 else []
+    while stack:
+        prefix, opens_left, depth = stack.pop()
+        if not opens_left:
+            yield prefix + ")" * depth
+            continue
+        if depth:
+            stack.append((prefix + ")", opens_left, depth - 1))
+        if depth < max_height:
+            stack.append((prefix + "(", opens_left - 1, depth + 1))
 
 
 def rooted_codes(edges: int, *, limit: int | None = None) -> Iterator[str]:

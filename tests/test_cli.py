@@ -1,11 +1,14 @@
+import ast
 import copy
 import hashlib
 import json
+import pathlib
 import pickle
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import plane_forest
 from plane_forest import (
     CenterResult,
     EquivalenceMode,
@@ -296,6 +299,29 @@ class TestDeepPath:
         edges = [(v, v + 1) for v in range(self.DEPTH)]
         flow = validate_flow_graph(self.DEPTH + 1, edges)
         assert flow.separatrices.serialize() == "U:" + self.HALF * 2
+
+    def test_no_function_calls_itself(self):
+        # every walk stays flat only while no function of the package recurses
+        def called(call):
+            return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+        recursive = []
+        for path in sorted(pathlib.Path(plane_forest.__file__).parent.glob("*.py")):
+            stack = [(ast.parse(path.read_text()), path.stem)]
+            while stack:
+                node, scope = stack.pop()
+                for child in ast.iter_child_nodes(node):
+                    name = getattr(child, "name", None)
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        calls = [n for n in ast.walk(child) if isinstance(n, ast.Call)]
+                        if any(called(call) == name for call in calls):
+                            recursive.append(f"{scope}.{name}")
+                        stack.append((child, f"{scope}.{name}.<locals>"))
+                    elif isinstance(child, ast.ClassDef):
+                        stack.append((child, f"{scope}.{name}"))
+                    else:
+                        stack.append((child, scope))
+        assert recursive == []
 
 
 class TestContract:

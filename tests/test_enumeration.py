@@ -35,10 +35,11 @@ MIRROR_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 12, 8: 27, 9: 65, 10: 17
 # built every branch as a RootedPlaneTree) and frozen; the SHA-256 is that
 # of catalog_text(v, mode, enumerate_plane_center(v, mode, limit=v)). The
 # v=13 digests come from the gluing route that still leaf-stripped and
-# re-minimised every glued code.
+# re-minimised every glued code, the v=14 ones from the route whose branch
+# pool held every rooted tree of each size, whatever its height.
 GLUED_COUNTS = {
-    ORIENTED: {11: 854, 12: 2694, 13: 8714},
-    MIRROR: {11: 490, 12: 1473, 13: 4588},
+    ORIENTED: {11: 854, 12: 2694, 13: 8714, 14: 28640},
+    MIRROR: {11: 490, 12: 1473, 13: 4588, 14: 14782},
 }
 GLUED_DIGESTS = {
     (11, ORIENTED): "3c05d77b7c6bb6d1041175b01f0fcc123290b3f05d84390adab2e230dc64a51e",
@@ -47,6 +48,8 @@ GLUED_DIGESTS = {
     (12, MIRROR): "44198e220aaf99edc8d5689840707316483a4532563fe59f884545d1ca87d9fb",
     (13, ORIENTED): "df97591bcbf582300ca787ea370a2a03d724a52ec488c8cf4ed519dc7261fdbc",
     (13, MIRROR): "871f2b02b22ebbb5b159ae4e0ec9a1fa3908927e657dbb1922c595612bd9b0fc",
+    (14, ORIENTED): "a1d04d4cb400cdd204cf4d718ddb41331fbeec6893251a15f06c5fff65981d57",
+    (14, MIRROR): "e13604faca84fabef94c2507106a6818c7370719eee8c50d4c8b93624e107215",
 }
 
 
@@ -148,7 +151,7 @@ def _glued(vertices, mode):
 
 
 class TestFrozenCatalogs:
-    @pytest.mark.parametrize("vertices", [11, 12, 13])
+    @pytest.mark.parametrize("vertices", sorted(GLUED_COUNTS[ORIENTED]))
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
     def test_counts_above_oracle_cap(self, vertices, mode):
         assert len(_glued(vertices, mode)) == GLUED_COUNTS[mode][vertices]

@@ -14,8 +14,9 @@ from plane_forest import (
     enumerate_rooted,
     iter_dyck_codes,
     reflect,
+    rooted_codes,
 )
-from plane_forest.trees import MAX_EDGES_ENV
+from plane_forest.trees import MAX_EDGES_ENV, _dyck_codes, _height_of
 
 from helpers import tree_strategy
 
@@ -113,6 +114,21 @@ class TestEnumeration:
             codes = list(iter_dyck_codes(edges))
             assert codes == sorted(codes)
             assert len(set(codes)) == len(codes)
+
+    def test_negative_edges_give_no_codes(self):
+        assert list(iter_dyck_codes(-1)) == []
+
+    def test_height_cap_keeps_order(self):
+        for edges in range(0, 10):
+            codes = list(iter_dyck_codes(edges))
+            for max_height in range(0, edges + 1):
+                expected = [c for c in codes if _height_of(c) <= max_height]
+                assert list(_dyck_codes(edges, max_height)) == expected
+
+    def test_first_code_far_past_the_recursion_limit(self):
+        nested = "(" * 5000 + ")" * 5000
+        assert next(iter_dyck_codes(5000)) == nested
+        assert next(rooted_codes(5000, limit=5000)) == nested
 
     def test_round_trip_on_enumerated(self):
         for edges in range(0, 8):
