@@ -3,20 +3,17 @@
 Every tree of the plane with n >= 3 vertices is either unicentral (one
 center vertex whose branches are rooted plane trees, at least two of them
 of maximal height) or bicentral (a central edge joining two rooted halves
-of equal height). Generating exactly one branch arrangement per rotation
-class (and, in MIRROR mode, per reflection class) and one half pair per
-swap class therefore yields every isomorphism class exactly once.
+of equal height). A bicentral tree with halves a, b is the two-branch
+tree `(a)(b)` one vertex larger, its center subdividing the central edge.
 
-The gluing works on parenthesis codes throughout. The branch pool holds
-each rooted plane tree `b` that fits below a center, as its branch word
-`(b)` and its height, under a height cap worked out from the vertex count:
-a unicentral branch needs a sibling as tall, and bicentral halves pair
-only at equal heights, no taller than the smaller half. Branch words are
-primitive Dyck words, a prefix code, so word lists order as their joins
-do: a branch tuple is kept exactly when its join is its least rotation
-(and mirror image, in MIRROR mode), and that join is its class's canonical
-code. Halves `a`, `b` joined by an edge give `a(b)`, canonical as the
-least rotation at either endpoint. No glued code is scanned back into a tree.
+So one walk glues both. Branch words `(b)` are primitive Dyck words, a
+prefix code, so a canonical code rooted at a center is a necklace (in
+MIRROR mode, a bracelet) over the ordered alphabet of branch words: its
+join is its least rotation. An iterative prenecklace walk with letter
+weights and a prune on the vertices left reaches every such word list,
+and one least-rotation test keeps exactly one list per class. A kept pair
+`(a)(b)` one vertex larger gives the bicentral code `a(b)`, least over
+both ends of the central edge. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -25,7 +22,6 @@ byte-for-byte, which is the strongest consistency check in the package.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +32,6 @@ from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
-    _MIRROR,
     _dyck_codes,
     _factors,
     _height_of,
@@ -108,54 +103,31 @@ def _pool(vertices: int, max_height: int) -> tuple[_PoolEntry, ...]:
     )
 
 
-def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    # ordered tuples of k positive integers summing to total
-    for cuts in itertools.combinations(range(1, total), k - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(k))
-
-
-def _unicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
-    # canonical codes: branch words in the order whose join is least; a
-    # branch of s vertices has a sibling as tall, so height <= budget - 1 - s
-    budget = vertices - 1
-    for k in range(2, budget + 1):
-        for sizes in _compositions(budget, k):
-            for combo in itertools.product(*(_pool(s, budget - 1 - s) for s in sizes)):
-                heights = [e.height for e in combo]
-                if heights.count(max(heights)) < 2:
-                    continue
-                words = [e.word for e in combo]
+def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[str]:
+    # the joins of `budget` vertices' worth of branch words, at most `most`
+    # of them and two or more of the top height h, that are their own least
+    # rotation. An iterative FKM prenecklace walk: each word is >= the word
+    # p back, p being the length of the longest Lyndon prefix so far. A
+    # branch of s vertices has a sibling as tall, so its height is at most
+    # budget - 1 - s, and each tall word still missing needs h + 1 vertices.
+    for h in range(budget // 2):
+        stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
+        while stack:
+            words, p, left, tall = stack.pop()
+            if not left:
                 code = "".join(words)
                 if _least_rotation(words, mode) == code:
                     yield code
-
-
-def _bicentral_codes(vertices: int, mode: EquivalenceMode) -> Iterator[str]:
-    # canonical codes of halves a(b) of equal height 1..n1-1, least over
-    # both ends; a one-vertex half has height 0, which no larger half has
-    for n1 in range(2, vertices // 2 + 1):
-        n2 = vertices - n1
-        for height in range(1, n1):
-            first = [e for e in _pool(n1, height) if e.height == height]
-            if n1 == n2:
-                # the pool is code-sorted, so these pairs come out with a <= b
-                pairs: Iterator[tuple[_PoolEntry, _PoolEntry]] = (
-                    itertools.combinations_with_replacement(first, 2)
-                )
-            else:
-                second = [e for e in _pool(n2, height) if e.height == height]
-                pairs = itertools.product(first, second)
-            for a, b in pairs:
-                if mode is EquivalenceMode.MIRROR:
-                    original = sorted((a.word, b.word))
-                    reflected = sorted(w[::-1].translate(_MIRROR) for w in (a.word, b.word))
-                    if reflected < original:
-                        continue
-                yield min(
-                    _least_rotation(_factors(a.word[1:-1]) + [b.word], mode),
-                    _least_rotation(_factors(b.word[1:-1]) + [a.word], mode),
-                )
+                continue
+            if len(words) == most:
+                continue
+            back = words[-p] if words else ""
+            for size in range(1, left + 1):
+                for word, height in _pool(size, min(h, budget - 1 - size)):
+                    now = tall + (height == h)
+                    if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
+                        step = p if word == back else len(words) + 1
+                        stack.append((words + [word], step, left - size, now))
 
 
 def enumerate_plane_center(
@@ -181,14 +153,22 @@ def enumerate_plane_center(
 
     results = [
         PlaneTree(canon=code, mode=mode, centrality=Centrality.UNICENTRAL)
-        for code in _unicentral_codes(vertices, mode)
+        for code in _necklaces(vertices - 1, vertices - 1, mode)
     ]
+    # two-branch necklaces one vertex larger are the bicentral half pairs
     results.extend(
-        PlaneTree(canon=code, mode=mode, centrality=Centrality.BICENTRAL)
-        for code in _bicentral_codes(vertices, mode)
+        PlaneTree(
+            canon=min(
+                _least_rotation(_factors(a[1:-1]) + [b], mode),
+                _least_rotation(_factors(b[1:-1]) + [a], mode),
+            ),
+            mode=mode,
+            centrality=Centrality.BICENTRAL,
+        )
+        for a, b in map(_factors, _necklaces(vertices, 2, mode))
     )
     results.sort(key=PlaneTree.serialize)
-    # the least-rotation test and the pair filter must be duplicate-free
+    # one least-rotation test per necklace must leave no duplicate
     assert all(x != y for x, y in zip(results, results[1:])), "gluing emitted a duplicate"
     return results
 

@@ -75,8 +75,8 @@ def validate_flow_graph(
     parallel edges included), Disconnected for multiple components, and
     ValueError for ill-formed input.
     """
-    if vertices < 1:
-        raise ValueError(f"need at least one vertex, got {vertices}")
+    if not isinstance(vertices, int) or vertices < 1:
+        raise ValueError(f"need at least one vertex, got {vertices!r}")
     parent = list(range(vertices))
 
     def find(x: int) -> int:
@@ -87,8 +87,9 @@ def validate_flow_graph(
 
     neighbors: list[list[int]] = [[] for _ in range(vertices)]
     for a, b in edges:
-        if not (0 <= a < vertices and 0 <= b < vertices):
-            raise ValueError(f"edge ({a}, {b}) mentions an unknown vertex")
+        ids = isinstance(a, int) and isinstance(b, int)
+        if not (ids and 0 <= a < vertices and 0 <= b < vertices):
+            raise ValueError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
         ra, rb = find(a), find(b)
         if ra == rb:
             raise HasCycle(f"edge ({a}, {b}) closes a cycle")
@@ -104,6 +105,8 @@ def validate_flow_graph(
         if len(rotations) != vertices:
             raise ValueError("rotations must list every vertex")
         adj = [list(order) for order in rotations]
+        if not all(isinstance(u, int) for order in adj for u in order):
+            raise ValueError("rotations must list vertex ids")
         for v in range(vertices):
             if sorted(adj[v]) != sorted(neighbors[v]):
                 raise ValueError(f"rotation at vertex {v} does not match its edges")

@@ -306,8 +306,8 @@ class TestDeepPath:
             return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
 
         recursive = []
-        for path in sorted(pathlib.Path(plane_forest.__file__).parent.glob("*.py")):
-            stack = [(ast.parse(path.read_text()), path.stem)]
+        for stem, module in _package_modules():
+            stack = [(module, stem)]
             while stack:
                 node, scope = stack.pop()
                 for child in ast.iter_child_nodes(node):
@@ -322,6 +322,37 @@ class TestDeepPath:
                     else:
                         stack.append((child, scope))
         assert recursive == []
+
+    def test_no_private_name_is_dead(self):
+        # a module-level private function, class or constant that no module
+        # of the package loads is dead code
+        modules = _package_modules()
+        loaded = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for _, module in modules
+            for node in ast.walk(module)
+            if isinstance(getattr(node, "ctx", None), ast.Load)
+        }
+        dead = []
+        for stem, module in modules:
+            for node in module.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith("_") and not name.startswith("__") and name not in loaded:
+                        dead.append(f"{stem}.{name}")
+        assert dead == []
+
+
+def _package_modules():
+    # (module name, syntax tree) for every source file of the package
+    package = pathlib.Path(plane_forest.__file__).parent
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
 
 
 class TestContract:

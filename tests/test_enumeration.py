@@ -23,6 +23,7 @@ from plane_forest import (
     enumerate_rooted,
     reconcile_counts,
 )
+from plane_forest.trees import _factors
 
 ORIENTED = EquivalenceMode.ORIENTED
 MIRROR = EquivalenceMode.MIRROR
@@ -127,6 +128,16 @@ class TestCenterRoute:
                     expected = 1 if form.centrality is Centrality.UNICENTRAL else 2
                     assert len(centers) == expected
                     assert canonical_plane(tree, mode) == form
+                # a bicentral tree is a two-branch unicentral tree one vertex
+                # larger whose center subdivides the central edge
+                subdivided = set()
+                for form in _glued(vertices + 1, mode):
+                    factors = _factors(form.canon)
+                    if form.centrality is Centrality.UNICENTRAL and len(factors) == 2:
+                        a, b = factors
+                        subdivided.add(canonical_plane(decode(a[1:-1] + b), mode))
+                glued = _glued(vertices, mode)
+                assert {f for f in glued if f.centrality is Centrality.BICENTRAL} == subdivided
 
     def test_sum_check_recovers_catalan(self):
         # grouping the full rooted enumeration by plane class loses nothing

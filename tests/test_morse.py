@@ -90,14 +90,15 @@ class TestValidateFlowGraph:
         assert (flow.sources, flow.saddles, flow.sinks) == (1, 0, 1)
 
     def test_unknown_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            validate_flow_graph(2, [(0, 5)])
+        # ids and counts that are not ints are ill-formed, not a TypeError
+        for vertices, edge in [(2, (0, 5)), (2, (0, 1.0)), (2, (0, "1")), (2.0, (0, 1))]:
+            with pytest.raises(ValueError):
+                validate_flow_graph(vertices, [edge])
 
     def test_inconsistent_rotations_rejected(self):
-        with pytest.raises(ValueError):
-            validate_flow_graph(2, [(0, 1)], rotations=[[1], [0, 0]])
-        with pytest.raises(ValueError):
-            validate_flow_graph(2, [(0, 1)], rotations=[[1]])
+        for rotations in [[[1], [0, 0]], [[1]], [[1], [0.0]]]:
+            with pytest.raises(ValueError):
+                validate_flow_graph(2, [(0, 1)], rotations=rotations)
 
     def test_rotation_data_controls_embedding(self):
         # a star with an extra arm: swapping two neighbors in one cyclic
