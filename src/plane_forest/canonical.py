@@ -13,28 +13,32 @@ rooted code over every admissible re-rooting:
 In MIRROR mode the minimum additionally ranges over the reflected tree.
 The result is always the code of an actual rooted representative, so it
 decodes back to a tree with the right vertex count and cannot collide
-across centrality kinds.
+across centrality kinds. The re-rooting oracle checks all this on its
+own: one walk round the contour of the code keeps the least code rooted
+at any corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import LimitExceeded, MalformedCode
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _MIRROR,
+    _corner_codes,
     _height_of,
     _rotation_system_of,
     _tree_of,
     decode,
     encode,
+    reflect,
 )
 
-#: Full re-rooting sweeps are quadratic-ish; keep the oracle at desk scale.
+#: The oracle joins a 2n-character code per corner; keep it at desk scale.
 REROOT_ORACLE_MAX_VERTICES = 12
 
 
@@ -173,26 +177,18 @@ def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
 
 
-def _least_code(adj: list[list[int]], roots: Iterable[int], mode: EquivalenceMode) -> str:
-    # least rooted code over the given roots
-    return min(_least_rotation(_rooted_codes(adj, root), mode) for root in roots)
-
-
 def _plane_tree_of(adj: list[list[int]], mode: EquivalenceMode) -> PlaneTree:
     # canonical form of the embedded tree that a rotation system describes
     centers = _strip_centers(adj)
     centrality = Centrality.UNICENTRAL if len(centers) == 1 else Centrality.BICENTRAL
-    return PlaneTree(canon=_least_code(adj, centers, mode), mode=mode, centrality=centrality)
+    canon = min(_least_rotation(_rooted_codes(adj, c), mode) for c in centers)
+    return PlaneTree(canon=canon, mode=mode, centrality=centrality)
 
 
 def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:
-    """Every re-rooting of the underlying embedded tree: each vertex as the
-    root, each rotation of its cyclic order as the child order."""
-    adj = rotation_system(tree)
-    for v in range(len(adj)):
-        words = _rooted_codes(adj, v)
-        for s in range(len(words) or 1):
-            yield _tree_of("".join(words[s:] + words[:s]))
+    """Every re-rooting of the underlying embedded tree, one per corner in
+    contour order: each vertex as root, each rotation as its child order."""
+    return map(_tree_of, _corner_codes(encode(tree)))
 
 
 def canonical_plane(
@@ -219,16 +215,14 @@ def is_isomorphic(
 def rerooting_oracle_canon(
     tree: RootedPlaneTree, mode: EquivalenceMode = EquivalenceMode.ORIENTED
 ) -> str:
-    """Independent canonical code: minimum over ALL vertices and rotations.
-
-    Slower than canonical_plane and rooted anywhere rather than at the
-    center, so the strings differ; the induced partition into classes must
-    be identical, which the test suite checks exhaustively.
-    """
+    """Independent canonical code: the least code over ALL corners, that is
+    every vertex and rotation (and the reflection's, in MIRROR mode).
+    Rooted anywhere, not at the center, so the strings differ from
+    canonical_plane; the induced partition must be identical."""
     if tree.vertex_count > REROOT_ORACLE_MAX_VERTICES:
         raise LimitExceeded(
             f"{tree.vertex_count} vertices exceeds the re-rooting oracle cap "
             f"of {REROOT_ORACLE_MAX_VERTICES}"
         )
-    adj = rotation_system(tree)
-    return _least_code(adj, range(len(adj)), mode)
+    images = [tree, reflect(tree)] if mode is EquivalenceMode.MIRROR else [tree]
+    return min(code for t in images for code in _corner_codes(encode(t)))

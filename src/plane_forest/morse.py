@@ -85,8 +85,13 @@ def validate_flow_graph(
             x = parent[x]
         return x
 
+    try:
+        pairs = [(a, b) for a, b in edges]
+        adj = None if rotations is None else [list(order) for order in rotations]
+    except (TypeError, ValueError):
+        raise ValueError("edges must be vertex pairs, rotations lists of vertices") from None
     neighbors: list[list[int]] = [[] for _ in range(vertices)]
-    for a, b in edges:
+    for a, b in pairs:
         ids = isinstance(a, int) and isinstance(b, int)
         if not (ids and 0 <= a < vertices and 0 <= b < vertices):
             raise ValueError(f"edge ({a!r}, {b!r}) mentions an unknown vertex")
@@ -97,14 +102,13 @@ def validate_flow_graph(
         neighbors[a].append(b)
         neighbors[b].append(a)
     if len({find(v) for v in range(vertices)}) > 1:
-        raise Disconnected(f"{vertices} vertices but only {len(edges)} tree edges")
+        raise Disconnected(f"{vertices} vertices but only {len(pairs)} tree edges")
 
-    if rotations is None:
+    if adj is None:
         adj = [sorted(nbrs) for nbrs in neighbors]
     else:
-        if len(rotations) != vertices:
+        if len(adj) != vertices:
             raise ValueError("rotations must list every vertex")
-        adj = [list(order) for order in rotations]
         if not all(isinstance(u, int) for order in adj for u in order):
             raise ValueError("rotations must list vertex ids")
         for v in range(vertices):

@@ -159,6 +159,25 @@ def _rotation_system_of(code: str) -> list[list[int]]:
     return adj
 
 
+def _corner_codes(code: str) -> Iterator[str]:
+    # the code re-rooted at each of its max(2n, 1) corners in contour order:
+    # moving the root past position k turns that edge round (its two
+    # parentheses swap) and starts the code at k + 1
+    mate = [0] * len(code)
+    opens: list[int] = []
+    for i, ch in enumerate(code):
+        if ch == "(":
+            opens.append(i)
+        else:
+            j = opens.pop()
+            mate[i], mate[j] = j, i
+    yield code
+    chars = list(code)
+    for k in range(len(code) - 1):
+        chars[k], chars[mate[k]] = chars[mate[k]], chars[k]
+        yield "".join(chars[k + 1 :] + chars[: k + 1])
+
+
 def max_rooted_edges() -> int:
     """Enumeration cap; PLANE_FOREST_MAX_EDGES overrides the default of 16."""
     raw = os.environ.get(MAX_EDGES_ENV)
@@ -187,7 +206,7 @@ def _dyck_codes(edges: int, max_height: int) -> Iterator[str]:
     # the codes of iter_dyck_codes whose nesting depth is at most
     # max_height, in the same order: a stack of (prefix, opens_left, depth)
     # that pushes ')' before '(', so the '(' branch is walked first
-    stack = [("", edges, 0)] if edges >= 0 else []
+    stack = [("", edges, 0)] if min(edges, max_height) >= 0 else []
     while stack:
         prefix, opens_left, depth = stack.pop()
         if not opens_left:

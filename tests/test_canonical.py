@@ -15,12 +15,14 @@ from plane_forest import (
     enumerate_plane_center,
     enumerate_rooted,
     is_isomorphic,
+    iter_dyck_codes,
     reflect,
     rerooting_oracle_canon,
     rooted_representatives,
     rotation_system,
 )
-from plane_forest.canonical import _least_rotation
+from plane_forest.canonical import _least_rotation, _rooted_codes
+from plane_forest.trees import _corner_codes
 
 from helpers import tree_strategy
 
@@ -207,6 +209,35 @@ class TestRerootingOracle:
         # all 14 rooted trees with 4 edges fall into 3 plane classes
         keys = {rerooting_oracle_canon(t) for t in enumerate_rooted(4)}
         assert len(keys) == 3
+
+
+class TestCornerWalk:
+    def test_corners_are_every_vertex_and_rotation(self):
+        # the contour walk against its definition: each vertex as the
+        # root, each rotation of its branch words as the child order
+        for edges in range(0, 9):
+            for tree in enumerate_rooted(edges):
+                adj = rotation_system(tree)
+                expected = []
+                for v in range(len(adj)):
+                    words = _rooted_codes(adj, v)
+                    expected += ["".join(words[s:] + words[:s]) for s in range(len(words) or 1)]
+                codes = [encode(rep) for rep in rooted_representatives(tree)]
+                assert len(codes) == max(2 * edges, 1)
+                assert sorted(codes) == sorted(expected)
+
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_class_orbits_tile_the_rooted_codes(self, mode):
+        # every rooted code is a corner of exactly one catalog class
+        for vertices in range(1, 11):
+            seen: set[str] = set()
+            for form in enumerate_plane_center(vertices, mode):
+                tree = decode(form.canon)
+                images = [tree, reflect(tree)] if mode is MIRROR else [tree]
+                orbit = {code for t in images for code in _corner_codes(encode(t))}
+                assert seen.isdisjoint(orbit)
+                seen |= orbit
+            assert seen == set(iter_dyck_codes(vertices - 1))
 
 
 class TestSerialization:

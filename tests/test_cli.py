@@ -157,6 +157,15 @@ class TestVerify:
         assert "oriented=ok" in out and "mirror=ok" in out
         assert "FAIL" not in out
 
+    def test_ten_vertex_output_frozen(self, capsys):
+        # all three routes at every size up to 10, both modes; the audit
+        # keeps its three MISMATCH rows
+        code, out, _ = run(capsys, "verify", "--max-vertices", "10")
+        assert code == 0
+        assert out.count("MISMATCH") == 3
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "3d7e3a5876e1c93755115d8aa236037bad7be725ff36d8b23c2c61a83e1b6893"
+
     @pytest.mark.parametrize(
         "oracle",
         [lambda tree, mode: "merged", lambda tree, mode: encode(tree)],

@@ -90,13 +90,22 @@ class TestValidateFlowGraph:
         assert (flow.sources, flow.saddles, flow.sinks) == (1, 0, 1)
 
     def test_unknown_vertex_rejected(self):
-        # ids and counts that are not ints are ill-formed, not a TypeError
-        for vertices, edge in [(2, (0, 5)), (2, (0, 1.0)), (2, (0, "1")), (2.0, (0, 1))]:
+        # ids, counts and edge lists of the wrong type are ill-formed, not
+        # a TypeError
+        cases = [
+            (2, [(0, 5)]),
+            (2, [(0, 1.0)]),
+            (2, [(0, "1")]),
+            (2.0, [(0, 1)]),
+            (2, [0]),
+            (2, None),
+        ]
+        for vertices, edges in cases:
             with pytest.raises(ValueError):
-                validate_flow_graph(vertices, [edge])
+                validate_flow_graph(vertices, edges)
 
     def test_inconsistent_rotations_rejected(self):
-        for rotations in [[[1], [0, 0]], [[1]], [[1], [0.0]]]:
+        for rotations in [[[1], [0, 0]], [[1]], [[1], [0.0]], [1, 0]]:
             with pytest.raises(ValueError):
                 validate_flow_graph(2, [(0, 1)], rotations=rotations)
 

@@ -121,7 +121,8 @@ class TestEnumeration:
     def test_height_cap_keeps_order(self):
         for edges in range(0, 10):
             codes = list(iter_dyck_codes(edges))
-            for max_height in range(0, edges + 1):
+            # a negative cap admits no code, not even the empty one
+            for max_height in range(-1, edges + 1):
                 expected = [c for c in codes if _height_of(c) <= max_height]
                 assert list(_dyck_codes(edges, max_height)) == expected
 
