@@ -8,7 +8,9 @@ rooted code over every admissible re-rooting:
 * unicentral trees: root at the center, minimize over the rotations of the
   center's cyclic child order;
 * bicentral trees: minimize over both endpoints of the central edge and
-  all rotations of each endpoint's cyclic order.
+  all rotations of each endpoint's cyclic order. `_least_bicentral` is
+  this one rule, over the two rooted halves that the central edge joins;
+  gluing applies it too.
 
 In MIRROR mode the minimum additionally ranges over the reflected tree.
 The result is always the code of an actual rooted representative, so it
@@ -30,6 +32,7 @@ from .trees import (
     RootedPlaneTree,
     _MIRROR,
     _corner_codes,
+    _factors,
     _height_of,
     _rotation_system_of,
     _tree_of,
@@ -177,12 +180,24 @@ def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
 
 
+def _least_bicentral(a: str, b: str, mode: EquivalenceMode) -> str:
+    # least code of the tree whose central edge joins the rooted halves a
+    # and b: rooted at either end, the other half hangs as one branch
+    return min(
+        _least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a))
+    )
+
+
 def _plane_tree_of(adj: list[list[int]], mode: EquivalenceMode) -> PlaneTree:
     # canonical form of the embedded tree that a rotation system describes
-    centers = _strip_centers(adj)
-    centrality = Centrality.UNICENTRAL if len(centers) == 1 else Centrality.BICENTRAL
-    canon = min(_least_rotation(_rooted_codes(adj, c), mode) for c in centers)
-    return PlaneTree(canon=canon, mode=mode, centrality=centrality)
+    first, *other = _strip_centers(adj)
+    words = _rooted_codes(adj, first)
+    if not other:
+        return PlaneTree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
+    # the halves: the branch towards the other center, and the rest read after it
+    k = adj[first].index(other[0])
+    canon = _least_bicentral("".join(words[k + 1 :] + words[:k]), words[k][1:-1], mode)
+    return PlaneTree(canon, mode, Centrality.BICENTRAL)
 
 
 def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:

@@ -8,8 +8,10 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Iterable
@@ -20,14 +22,29 @@ from .enumeration import (
     catalog_text,
     count_plane,
     enumerate_plane_center,
-    enumerate_plane_oracle,
     reconcile_counts,
 )
-from .errors import PlaneForestError
+from .errors import LimitExceeded, PlaneForestError
 from .morse import count_flows, enumerate_flows, flow_record
 from .render import FORMATS, LAYOUTS, RenderSpec, render
 from .trees import EquivalenceMode, count_rooted, enumerate_rooted, rooted_codes
 from .canonical import canonical_plane, rerooting_oracle_canon
+
+
+#: Most edges whose Catalan number prints within Python's default limit of
+#: 4300 digits; a constant, so the cap holds where Python sets no limit.
+_COUNT_MAX_EDGES = 7152
+
+
+def _file_mode(path: str) -> int:
+    # the permissions open(path, "w") gives: an existing file keeps its
+    # own, a new one gets 0o666 less the umask (mkstemp's are owner-only)
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
@@ -38,9 +55,11 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             sys.stdout.write(line)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
+    mode = _file_mode(out)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plane-forest-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.chmod(tmp, mode)
             for line in lines:
                 handle.write(line)
         os.replace(tmp, out)
@@ -59,6 +78,8 @@ def _rooted_route(args: argparse.Namespace) -> bool:
 
 def cmd_count(args: argparse.Namespace) -> int:
     if _rooted_route(args):
+        if args.edges > _COUNT_MAX_EDGES:
+            raise LimitExceeded(f"{args.edges} edges exceeds the count cap of {_COUNT_MAX_EDGES}")
         value = count_rooted(args.edges)
     else:
         value = count_plane(args.vertices, EquivalenceMode(args.mode), limit=args.max_vertices)
@@ -71,9 +92,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.format == "codes":
             _emit((code + "\n" for code in rooted_codes(args.edges)), args.out)
         elif args.format == "catalog":
-            codes = list(rooted_codes(args.edges))
-            header = f"# rooted-trees edges={args.edges} count={len(codes)}\n"
-            _emit([header] + [c + "\n" for c in codes], args.out)
+            # the header is counted, not listed, so the codes stream as above
+            lines = (code + "\n" for code in rooted_codes(args.edges))
+            header = f"# rooted-trees edges={args.edges} count={count_rooted(args.edges)}\n"
+            _emit(itertools.chain([header], lines), args.out)
         else:
             codes = list(rooted_codes(args.edges))
             doc = {"edges": args.edges, "count": len(codes), "codes": codes}
@@ -101,16 +123,6 @@ def cmd_flows(args: argparse.Namespace) -> int:
     return 0
 
 
-def _partitions_agree(vertices: int, mode: EquivalenceMode) -> bool:
-    # the center-rooted canon and the all-rootings canon must induce the
-    # same equivalence classes on the full rooted enumeration
-    pairs = {
-        (canonical_plane(tree, mode).serialize(), rerooting_oracle_canon(tree, mode))
-        for tree in enumerate_rooted(vertices - 1)
-    }
-    return len(pairs) == len({fast for fast, _ in pairs}) == len({slow for _, slow in pairs})
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     top = args.max_vertices if args.max_vertices is not None else 9
     sweep_top = min(top, ORACLE_MAX_VERTICES)
@@ -120,8 +132,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cells = []
         for mode in EquivalenceMode:
             glued = [p.serialize() for p in enumerate_plane_center(vertices, mode, limit=top)]
-            oracle = [p.serialize() for p in enumerate_plane_oracle(vertices, mode)]
-            ok = glued == oracle and _partitions_agree(vertices, mode)
+            # one sweep gives the brute-force catalog and the partition check
+            pairs = {
+                (canonical_plane(tree, mode).serialize(), rerooting_oracle_canon(tree, mode))
+                for tree in enumerate_rooted(vertices - 1)
+            }
+            oracle = sorted({fast for fast, _ in pairs})
+            ok = glued == oracle and len(pairs) == len(oracle) == len({slow for _, slow in pairs})
             all_ok = all_ok and ok
             cells.append(f"{mode.value}={'ok' if ok else 'FAIL'} (count={len(glued)})")
         print(f"  v={vertices:>2}: " + "  ".join(cells))

@@ -12,8 +12,10 @@ MIRROR mode, a bracelet) over the ordered alphabet of branch words: its
 join is its least rotation. An iterative prenecklace walk with letter
 weights and a prune on the vertices left reaches every such word list,
 and one least-rotation test keeps exactly one list per class. A kept pair
-`(a)(b)` one vertex larger gives the bicentral code `a(b)`, least over
-both ends of the central edge. No glued code is scanned back into a tree.
+`(a)(b)` one vertex larger is the bicentral tree with halves a and b, and
+`canonical._least_bicentral`, the one bicentral rule, which canonical
+forms use too, takes its least code over both ends of the central edge.
+No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .canonical import Centrality, PlaneTree, _least_rotation, _plane_tree_of
+from .canonical import Centrality, PlaneTree, _least_bicentral, _least_rotation, _plane_tree_of
 from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
@@ -157,14 +159,7 @@ def enumerate_plane_center(
     ]
     # two-branch necklaces one vertex larger are the bicentral half pairs
     results.extend(
-        PlaneTree(
-            canon=min(
-                _least_rotation(_factors(a[1:-1]) + [b], mode),
-                _least_rotation(_factors(b[1:-1]) + [a], mode),
-            ),
-            mode=mode,
-            centrality=Centrality.BICENTRAL,
-        )
+        PlaneTree(_least_bicentral(a[1:-1], b[1:-1], mode), mode, Centrality.BICENTRAL)
         for a, b in map(_factors, _necklaces(vertices, 2, mode))
     )
     results.sort(key=PlaneTree.serialize)

@@ -21,10 +21,10 @@ from plane_forest import (
     rooted_representatives,
     rotation_system,
 )
-from plane_forest.canonical import _least_rotation, _rooted_codes
+from plane_forest.canonical import _least_rotation, _rooted_codes, _strip_centers
 from plane_forest.trees import _corner_codes
 
-from helpers import tree_strategy
+from helpers import random_tree, tree_strategy
 
 ORIENTED = EquivalenceMode.ORIENTED
 MIRROR = EquivalenceMode.MIRROR
@@ -160,6 +160,32 @@ class TestCanonicalPlane:
         for rep in list(rooted_representatives(tree))[:6]:
             if is_isomorphic(tree, rep, ORIENTED):
                 assert is_isomorphic(tree, rep, MIRROR)
+
+
+def least_code_over_centers(tree, mode):
+    # the definition: the least rotation of the branch words at each center
+    adj = rotation_system(tree)
+    return min(_least_rotation(_rooted_codes(adj, c), mode) for c in _strip_centers(adj))
+
+
+class TestCenterDefinition:
+    # canonical_plane roots once, at the first center, and takes a
+    # bicentral tree's least code from its two halves
+    def test_every_tree_up_to_eight_edges(self):
+        for edges in range(0, 9):
+            for tree in enumerate_rooted(edges):
+                for mode in (ORIENTED, MIRROR):
+                    assert canonical_plane(tree, mode).canon == least_code_over_centers(tree, mode)
+
+    @given(st.integers(min_value=1, max_value=60), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_random_trees(self, vertices, rng):
+        tree = random_tree(rng, vertices)
+        for mode in (ORIENTED, MIRROR):
+            form = canonical_plane(tree, mode)
+            assert form.canon == least_code_over_centers(tree, mode)
+            bicentral = len(_strip_centers(rotation_system(tree))) == 2
+            assert (form.centrality is Centrality.BICENTRAL) == bicentral
 
 
 class TestChirality:

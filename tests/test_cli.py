@@ -2,8 +2,11 @@ import ast
 import copy
 import hashlib
 import json
+import os
 import pathlib
 import pickle
+import stat
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -15,6 +18,7 @@ from plane_forest import (
     PlaneTree,
     canonical_plane,
     center,
+    count_rooted,
     decode,
     encode,
     reflect,
@@ -59,6 +63,20 @@ class TestCount:
     def test_negative_input(self, capsys):
         assert run(capsys, "count", "--edges", "-3")[0] == 1
 
+    def test_largest_rooted_count_prints_in_full(self, capsys):
+        code, out, _ = run(capsys, "count", "--edges", "7152")
+        assert code == 0 and len(out) == 4300 + 1
+        assert int(out) == count_rooted(7152)
+
+    @pytest.mark.parametrize("edges", ["7153", str(10**9)])
+    def test_rooted_count_beyond_print_limit_fails_fast(self, capsys, edges):
+        # rejected before Catalan(edges) is computed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--edges", edges)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "7152" in err
+
 
 class TestEnumerate:
     def test_rooted_codes(self, capsys):
@@ -86,11 +104,29 @@ class TestEnumerate:
         assert out.splitlines()[0] == "# plane-trees v=5 mode=mirror count=3"
 
     def test_rooted_catalog_and_json(self, capsys):
+        codes = run(capsys, "enumerate", "--edges", "3", "--format", "codes")[1]
         code, out, _ = run(capsys, "enumerate", "--edges", "3", "--format", "catalog")
         assert code == 0
-        assert out.splitlines()[0] == "# rooted-trees edges=3 count=5"
+        assert out == "# rooted-trees edges=3 count=5\n" + codes
         code, out, _ = run(capsys, "enumerate", "--edges", "3", "--format", "json")
         assert json.loads(out)["count"] == 5
+
+    def test_out_file_permissions(self, capsys, tmp_path):
+        # as open(out, "w") would leave them: 0o666 less the umask for a
+        # new file, the old bits for an overwritten one
+        fresh, kept = tmp_path / "fresh.txt", tmp_path / "kept.txt"
+        kept.write_text("old\n")
+        kept.chmod(0o644)
+        old_umask = os.umask(0o027)
+        try:
+            for target in (fresh, kept):
+                code, _, _ = run(capsys, "enumerate", "--vertices", "5", "--out", str(target))
+                assert code == 0
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o644
+        assert kept.read_text() == fresh.read_text() != "old\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "catalog.txt"
@@ -173,6 +209,18 @@ class TestVerify:
     )
     def test_partition_disagreement_fails(self, capsys, monkeypatch, oracle):
         monkeypatch.setattr("plane_forest.cli.rerooting_oracle_canon", oracle)
+        code, out, err = run(capsys, "verify", "--max-vertices", "6")
+        assert code == 2
+        assert "FAIL" in out and "internal checks: FAILED" in err
+
+    def test_catalog_disagreement_fails(self, capsys, monkeypatch):
+        # gluing that loses one class no longer matches the brute force
+        glue = plane_forest.enumerate_plane_center
+
+        def drop_last(vertices, mode, **kwargs):
+            return glue(vertices, mode, **kwargs)[:-1]
+
+        monkeypatch.setattr("plane_forest.cli.enumerate_plane_center", drop_last)
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
         assert "FAIL" in out and "internal checks: FAILED" in err
