@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import stat
 import sys
 import tempfile
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .enumeration import (
     ORACLE_MAX_VERTICES,
@@ -87,6 +86,15 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rooted_json(edges: int, codes: Iterator[str]) -> Iterator[str]:
+    # json.dumps({"edges": edges, "count": n, "codes": codes}, indent=2,
+    # sort_keys=True) + "\n", written as the codes stream: there is always
+    # at least one code, and parentheses need no escaping
+    yield '{\n  "codes": [\n    "' + next(codes) + '"'
+    yield from map(',\n    "{}"'.format, codes)
+    yield f'\n  ],\n  "count": {count_rooted(edges)},\n  "edges": {edges}\n}}\n'
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if _rooted_route(args):
         if args.format == "codes":
@@ -97,9 +105,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             header = f"# rooted-trees edges={args.edges} count={count_rooted(args.edges)}\n"
             _emit(itertools.chain([header], lines), args.out)
         else:
-            codes = list(rooted_codes(args.edges))
-            doc = {"edges": args.edges, "count": len(codes), "codes": codes}
-            _emit([json.dumps(doc, indent=2, sort_keys=True) + "\n"], args.out)
+            _emit(_rooted_json(args.edges, rooted_codes(args.edges)), args.out)
         return 0
 
     mode = EquivalenceMode(args.mode)

@@ -195,26 +195,54 @@ def max_rooted_edges() -> int:
 def iter_dyck_codes(edges: int) -> Iterator[str]:
     """All balanced strings with `edges` pairs, in lexicographic order.
 
-    A stream: memory grows with `edges`, not with the number of codes.
-    '(' sorts before ')', so the fully nested code comes first and
-    "()()..." last.
+    A stream: memory is a stack of at most 2*edges prefixes plus a fixed
+    table of short completions, not the number of codes. '(' sorts before
+    ')', so the fully nested code comes first and "()()..." last.
     """
     return _dyck_codes(edges, edges)
 
 
+#: Longest code tail taken from the completion table. The states with r
+#: characters left have C(r, r // 2) completions between them, so the table
+#: holds at most 1,912 strings whatever the edge count and builds in about
+#: 0.2 ms; a longer tail saves little more per code and costs every small
+#: call.
+_TAIL = 12
+
+
 def _dyck_codes(edges: int, max_height: int) -> Iterator[str]:
     # the codes of iter_dyck_codes whose nesting depth is at most
-    # max_height, in the same order: a stack of (prefix, opens_left, depth)
-    # that pushes ')' before '(', so the '(' branch is walked first
-    stack = [("", edges, 0)] if min(edges, max_height) >= 0 else []
+    # max_height, in the same order. Every character moves a state
+    # (opens_left, depth) one step nearer the end, so the walk meets each
+    # remaining length 2*opens_left + depth once on the way down. The table
+    # maps each state with at most `tail` characters left to its
+    # completions in order, shortest first; a stack of (prefix, opens_left,
+    # depth) walks the rest, pushing ')' before '(' so the '(' branch is
+    # walked first, and stops at `tail`.
+    if min(edges, max_height) < 0:
+        return
+    tail = min(_TAIL, 2 * edges)
+    table: dict[tuple[int, int], list[str]] = {(0, 0): [""]}
+    for left in range(1, tail + 1):
+        for opens_left in range(left // 2 + 1):
+            depth = left - 2 * opens_left
+            if depth > max_height:
+                continue
+            tails = []
+            if opens_left and depth < max_height:
+                tails += ["(" + t for t in table[opens_left - 1, depth + 1]]
+            if depth:
+                tails += [")" + t for t in table[opens_left, depth - 1]]
+            table[opens_left, depth] = tails
+    stack = [("", edges, 0)]
     while stack:
         prefix, opens_left, depth = stack.pop()
-        if not opens_left:
-            yield prefix + ")" * depth
+        if 2 * opens_left + depth == tail:
+            yield from map(prefix.__add__, table[opens_left, depth])
             continue
         if depth:
             stack.append((prefix + ")", opens_left, depth - 1))
-        if depth < max_height:
+        if opens_left and depth < max_height:
             stack.append((prefix + "(", opens_left - 1, depth + 1))
 
 

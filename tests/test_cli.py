@@ -111,6 +111,21 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--edges", "3", "--format", "json")
         assert json.loads(out)["count"] == 5
 
+    def test_rooted_json_matches_json_dumps(self, capsys):
+        # the document is written piece by piece as the codes stream
+        for edges in range(0, 9):
+            codes = run(capsys, "enumerate", "--edges", str(edges), "--format", "codes")[1]
+            doc = {"edges": edges, "count": count_rooted(edges), "codes": codes.splitlines()}
+            code, out, _ = run(capsys, "enumerate", "--edges", str(edges), "--format", "json")
+            assert code == 0
+            assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_rooted_twelve_edges_frozen(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--edges", "12", "--format", "codes")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "0d0c1019b1c5e7d1e57d36b0b68440a32881ab19bacd0dfc027d774b135c854c"
+
     def test_out_file_permissions(self, capsys, tmp_path):
         # as open(out, "w") would leave them: 0o666 less the umask for a
         # new file, the old bits for an overwritten one

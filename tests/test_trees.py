@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -16,12 +17,29 @@ from plane_forest import (
     reflect,
     rooted_codes,
 )
-from plane_forest.trees import MAX_EDGES_ENV, _dyck_codes, _height_of
+from plane_forest.trees import MAX_EDGES_ENV, _dyck_codes
 
 from helpers import tree_strategy
 
 
 LEAF = RootedPlaneTree()
+
+
+def _brute_force_heights(edges):
+    # every string over "()" of length 2*edges in lexicographic order,
+    # mapped to its nesting depth when it is balanced
+    heights = {}
+    for chars in itertools.product("()", repeat=2 * edges):
+        depth = height = 0
+        for ch in chars:
+            depth += 1 if ch == "(" else -1
+            height = max(height, depth)
+            if depth < 0:
+                break
+        if depth == 0:
+            heights["".join(chars)] = height
+    return heights
+
 
 # malformed code -> the part of its error message that locates the fault
 MALFORMED = {
@@ -119,11 +137,13 @@ class TestEnumeration:
         assert list(iter_dyck_codes(-1)) == []
 
     def test_height_cap_keeps_order(self):
+        # against an independent reference; 7 edges and more run past the
+        # completion table
         for edges in range(0, 10):
-            codes = list(iter_dyck_codes(edges))
+            heights = _brute_force_heights(edges)
             # a negative cap admits no code, not even the empty one
             for max_height in range(-1, edges + 1):
-                expected = [c for c in codes if _height_of(c) <= max_height]
+                expected = [c for c, h in heights.items() if h <= max_height]
                 assert list(_dyck_codes(edges, max_height)) == expected
 
     def test_first_code_far_past_the_recursion_limit(self):
