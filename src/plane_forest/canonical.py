@@ -1,9 +1,16 @@
 """Tree centers and canonical codes for unrooted plane trees.
 
-Re-rooting a plane tree at its center (unique after leaf stripping up to
-the one-or-two-vertex ambiguity) turns "same embedded tree" into a string
-equality. The canonical code of a class is the lexicographically least
-rooted code over every admissible re-rooting:
+Re-rooting a plane tree at its center turns "same embedded tree" into a
+string equality. Everything is read off the parenthesis code: one scan
+gives each '(' its mate and the height of its subtree, and one walk goes
+down from the root into the tallest branch while it beats every other
+branch, the way up included, by 2 or more. Where the walk stops, a tie
+between the two longest branches makes the vertex the one center, and a
+lead of exactly 1 makes the tallest child the second center. Re-rooting at
+the last center walked swaps the parentheses of every walked edge and
+starts the code just after that center's '('. The canonical code of a
+class is the lexicographically least rooted code over every admissible
+re-rooting:
 
 * unicentral trees: root at the center, minimize over the rotations of the
   center's cyclic child order;
@@ -33,7 +40,6 @@ from .trees import (
     _MIRROR,
     _corner_codes,
     _factors,
-    _height_of,
     _rotation_system_of,
     _tree_of,
     decode,
@@ -93,7 +99,7 @@ class PlaneTree:
         if not sep or prefix not in ("U", "B"):
             raise MalformedCode(f"expected 'U:<code>' or 'B:<code>', got {line!r}")
         decode(code)  # raises MalformedCode on bad input
-        form = _plane_tree_of(_rotation_system_of(code), mode)
+        form = _plane_tree_of(code, mode)
         if prefix != form.centrality.value:
             raise MalformedCode(f"centrality tag {prefix!r} contradicts the code {code!r}")
         # a non-canonical code would compare unequal to its own class
@@ -112,41 +118,57 @@ def rotation_system(tree: RootedPlaneTree) -> list[list[int]]:
     return _rotation_system_of(encode(tree))
 
 
-def _strip_centers(adj: list[list[int]]) -> list[int]:
-    # peel leaves layer by layer until one or two vertices remain
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    degree = [len(nbrs) for nbrs in adj]
-    removed = [False] * n
-    layer = [v for v in range(n) if degree[v] == 1]
-    remaining = n
-    while remaining > 2:
-        for v in layer:
-            removed[v] = True
-        remaining -= len(layer)
-        nxt: list[int] = []
-        for v in layer:
-            for w in adj[v]:
-                if not removed[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return [v for v in range(n) if not removed[v]]
+def _center_walk(code: str) -> tuple[list[int], list[int], int, bool]:
+    # the scan and walk of the module docstring: the mate of each '(', the
+    # '(' of every edge walked (a bicentral walk ends with the step into
+    # the second center), the radius, and whether the tree is bicentral.
+    # The way up never beats the tallest child, so the walk never turns back.
+    mate = [0] * len(code)
+    height = [0] * len(code)
+    opens: list[int] = []
+    for i, ch in enumerate(code):
+        if ch == "(":
+            opens.append(i)
+        else:
+            j = opens.pop()
+            mate[j] = i
+            if opens and height[j] >= height[opens[-1]]:
+                height[opens[-1]] = height[j] + 1
+    path: list[int] = []
+    start, end, up = 0, len(code), 0
+    while True:
+        best, second, child = 0, up, -1
+        while start < end:
+            branch = height[start] + 1
+            if branch > best:
+                if best > second:
+                    second = best
+                best, child = branch, start
+            elif branch > second:
+                second = branch
+            start = mate[start] + 1
+        if best - second < 2:
+            if best > second:
+                path.append(child)
+            return mate, path, best, best > second
+        path.append(child)
+        start, end, up = child + 1, mate[child], second + 1
 
 
 def center(tree: RootedPlaneTree) -> CenterResult:
-    """Standard tree center(s) by iterated leaf removal, with the radius.
+    """Standard tree center(s), found by one walk down the code, with the radius.
 
     Single vertices and single edges are their own centers. The radius is
     the eccentricity of a center, i.e. the minimum eccentricity over all
     vertices: the height of the tree rooted there.
     """
-    adj = rotation_system(tree)
-    centers = sorted(_strip_centers(adj))
-    radius = _height_of("".join(_rooted_codes(adj, centers[0])))
-    return CenterResult(centers=tuple(centers), radius=radius)
+    code = encode(tree)
+    _, path, radius, bicentral = _center_walk(code)
+    # a vertex's preorder id counts the '(' up to the one opening it; the
+    # root, standing before position 0, has none
+    ends = [-1] + path
+    centers = tuple(code.count("(", 0, i + 1) for i in ends[-1 - bicentral :])
+    return CenterResult(centers=centers, radius=radius)
 
 
 def _rooted_codes(adj: list[list[int]], root: int) -> list[str]:
@@ -188,16 +210,28 @@ def _least_bicentral(a: str, b: str, mode: EquivalenceMode) -> str:
     )
 
 
-def _plane_tree_of(adj: list[list[int]], mode: EquivalenceMode) -> PlaneTree:
-    # canonical form of the embedded tree that a rotation system describes
-    first, *other = _strip_centers(adj)
-    words = _rooted_codes(adj, first)
-    if not other:
-        return PlaneTree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
-    # the halves: the branch towards the other center, and the rest read after it
-    k = adj[first].index(other[0])
-    canon = _least_bicentral("".join(words[k + 1 :] + words[:k]), words[k][1:-1], mode)
-    return PlaneTree(canon, mode, Centrality.BICENTRAL)
+def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
+    # canonical form of the embedded tree of a balanced code. Re-rooted at
+    # the last center walked, the branch words are its children's, in
+    # order, then the parent side: the code after the center's subtree and
+    # then the code before it, with every walked edge turned round.
+    mate, path, _, bicentral = _center_walk(code)
+    start, end = (path[-1] + 1, mate[path[-1]]) if path else (0, len(code))
+    words = []
+    i = start
+    while i < end:
+        words.append(code[i : mate[i] + 1])
+        i = mate[i] + 1
+    if path:
+        chars = list(code)
+        for i in path:
+            chars[i], chars[mate[i]] = ")", "("
+        words.append("".join(chars[end:] + chars[:start]))
+    if bicentral:
+        # the halves: the second center's children, and the parent side
+        canon = _least_bicentral(code[start:end], words[-1][1:-1], mode)
+        return PlaneTree(canon, mode, Centrality.BICENTRAL)
+    return PlaneTree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
 
 
 def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:
@@ -215,7 +249,7 @@ def canonical_plane(
     embedded tree maps to an identical PlaneTree, and (in MIRROR mode)
     so does its reflection.
     """
-    return _plane_tree_of(rotation_system(tree), mode)
+    return _plane_tree_of(encode(tree), mode)
 
 
 def is_isomorphic(

@@ -1,8 +1,9 @@
 """Command-line surface: count, enumerate, flows, verify, render.
 
 Exit codes: 0 success, 1 usage or input error, 2 internal verification
-mismatch. Output is deterministic; identical invocations produce identical
-bytes.
+mismatch. A reader that closes stdout early ends the output with exit 0
+and no message. Output is deterministic; identical invocations produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -50,8 +51,17 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     # full content is written to a sibling temp file and renamed into
     # place, so a failure mid-run never leaves a partial output file
     if out is None:
-        for line in lines:
-            sys.stdout.write(line)
+        try:
+            for line in lines:
+                sys.stdout.write(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early, which ends the stream but is no
+            # error; what is still buffered goes to devnull, so the flush
+            # at interpreter exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     mode = _file_mode(out)

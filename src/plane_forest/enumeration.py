@@ -37,7 +37,6 @@ from .trees import (
     _dyck_codes,
     _factors,
     _height_of,
-    _rotation_system_of,
     _tree_of,
     count_rooted,
     encode,
@@ -151,7 +150,7 @@ def enumerate_plane_center(
         raise LimitExceeded(f"{vertices} vertices exceeds the enumeration cap of {cap}")
     if vertices <= 2:
         # the single vertex and the single edge have nothing to glue
-        return [_plane_tree_of(_rotation_system_of("()" * (vertices - 1)), mode)]
+        return [_plane_tree_of("()" * (vertices - 1), mode)]
 
     results = [
         PlaneTree(canon=code, mode=mode, centrality=Centrality.UNICENTRAL)
@@ -181,10 +180,7 @@ def enumerate_plane_oracle(
     cap = ORACLE_MAX_VERTICES if limit is None else limit
     if vertices > cap:
         raise LimitExceeded(f"{vertices} vertices exceeds the oracle cap of {cap}")
-    classes = {
-        _plane_tree_of(_rotation_system_of(code), mode)
-        for code in iter_dyck_codes(vertices - 1)
-    }
+    classes = {_plane_tree_of(code, mode) for code in iter_dyck_codes(vertices - 1)}
     return sorted(classes, key=PlaneTree.serialize)
 
 

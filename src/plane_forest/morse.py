@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .canonical import PlaneTree, _plane_tree_of
+from .canonical import PlaneTree, _plane_tree_of, _rooted_codes
 from .enumeration import count_plane, enumerate_plane_center
 from .errors import Disconnected, HasCycle
 from .trees import EquivalenceMode
@@ -115,7 +115,7 @@ def validate_flow_graph(
             if sorted(adj[v]) != sorted(neighbors[v]):
                 raise ValueError(f"rotation at vertex {v} does not match its edges")
 
-    return flow_from_tree(_plane_tree_of(adj, mode))
+    return flow_from_tree(_plane_tree_of("".join(_rooted_codes(adj, 0)), mode))
 
 
 def count_flows(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .trees import RootedPlaneTree, _rotation_system_of, decode, encode
+from .trees import RootedPlaneTree, decode, encode
 
 FORMATS = ("dot", "svg", "ascii")
 LAYOUTS = ("layered", "radial")
@@ -47,15 +47,18 @@ def render(spec: RenderSpec) -> str:
 
 def _preorder(tree: RootedPlaneTree) -> tuple[list[int], list[int], list[int]]:
     # parent id (-1 for the root), depth and subtree vertex count of every
-    # vertex, numbered in preorder; a non-root vertex lists its parent first
-    adj = _rotation_system_of(encode(tree))
-    parents = [-1] + [nbrs[0] for nbrs in adj[1:]]
-    depths = [0] * len(adj)
-    for vid in range(1, len(adj)):
-        depths[vid] = depths[parents[vid]] + 1
-    sizes = [1] * len(adj)
-    for vid in range(len(adj) - 1, 0, -1):
-        sizes[parents[vid]] += sizes[vid]
+    # vertex, numbered in preorder, from one scan of the code
+    parents, depths, sizes = [-1], [0], [1]
+    path = [0]
+    for ch in encode(tree):
+        if ch == "(":
+            parents.append(path[-1])
+            depths.append(len(path))
+            sizes.append(1)
+            path.append(len(sizes) - 1)
+        else:
+            vid = path.pop()
+            sizes[path[-1]] += sizes[vid]
     return parents, depths, sizes
 
 

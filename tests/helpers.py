@@ -54,3 +54,27 @@ def random_cyclic_multigraph(
         (rng.randrange(vertices), rng.randrange(vertices)) for _ in range(edge_count)
     ]
     return vertices, edges
+
+
+def _strip_centers(adj: list[list[int]]) -> list[int]:
+    # peel leaves layer by layer until one or two vertices remain
+    n = len(adj)
+    if n <= 2:
+        return list(range(n))
+    degree = [len(nbrs) for nbrs in adj]
+    removed = [False] * n
+    layer = [v for v in range(n) if degree[v] == 1]
+    remaining = n
+    while remaining > 2:
+        for v in layer:
+            removed[v] = True
+        remaining -= len(layer)
+        nxt: list[int] = []
+        for v in layer:
+            for w in adj[v]:
+                if not removed[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return [v for v in range(n) if not removed[v]]

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plane_forest import (
+    CenterResult,
     Centrality,
     EquivalenceMode,
     LimitExceeded,
@@ -20,11 +21,12 @@ from plane_forest import (
     rerooting_oracle_canon,
     rooted_representatives,
     rotation_system,
+    validate_flow_graph,
 )
-from plane_forest.canonical import _least_rotation, _rooted_codes, _strip_centers
+from plane_forest.canonical import _least_rotation, _rooted_codes
 from plane_forest.trees import _corner_codes
 
-from helpers import random_tree, tree_strategy
+from helpers import _strip_centers, random_tree, tree_strategy
 
 ORIENTED = EquivalenceMode.ORIENTED
 MIRROR = EquivalenceMode.MIRROR
@@ -168,11 +170,26 @@ def least_code_over_centers(tree, mode):
     return min(_least_rotation(_rooted_codes(adj, c), mode) for c in _strip_centers(adj))
 
 
+def centers_by_leaf_stripping(tree):
+    # the definition: the vertices left by leaf stripping, and the radius
+    # as the eccentricity of one of them, from a BFS
+    adj = rotation_system(tree)
+    centers = sorted(_strip_centers(adj))
+    distance = {centers[0]: 0}
+    order = [centers[0]]
+    for v in order:
+        for w in adj[v]:
+            if w not in distance:
+                distance[w] = distance[v] + 1
+                order.append(w)
+    return CenterResult(centers=tuple(centers), radius=max(distance.values()))
+
+
 class TestCenterDefinition:
-    # canonical_plane roots once, at the first center, and takes a
+    # canonical_plane roots once, at the last center walked, and takes a
     # bicentral tree's least code from its two halves
-    def test_every_tree_up_to_eight_edges(self):
-        for edges in range(0, 9):
+    def test_every_tree_up_to_ten_edges(self):
+        for edges in range(0, 11):
             for tree in enumerate_rooted(edges):
                 for mode in (ORIENTED, MIRROR):
                     assert canonical_plane(tree, mode).canon == least_code_over_centers(tree, mode)
@@ -186,6 +203,49 @@ class TestCenterDefinition:
             assert form.canon == least_code_over_centers(tree, mode)
             bicentral = len(_strip_centers(rotation_system(tree))) == 2
             assert (form.centrality is Centrality.BICENTRAL) == bicentral
+
+    def test_center_on_every_tree_up_to_nine_edges(self):
+        for edges in range(0, 10):
+            for tree in enumerate_rooted(edges):
+                assert center(tree) == centers_by_leaf_stripping(tree)
+
+    @given(st.integers(min_value=1, max_value=300), st.randoms(use_true_random=False))
+    @settings(max_examples=100)
+    def test_center_on_random_trees(self, vertices, rng):
+        tree = random_tree(rng, vertices)
+        assert center(tree) == centers_by_leaf_stripping(tree)
+
+
+# a 5,000-vertex path rooted at an end and a 5,000-leaf star rooted at its
+# hub: the longest walk and the widest sibling scan
+DEEP_AND_WIDE = [
+    (
+        "(" * 4999 + ")" * 4999,
+        "B:" + "(" * 2500 + ")" * 2500 + "(" * 2499 + ")" * 2499,
+        CenterResult(centers=(2499, 2500), radius=2500),
+    ),
+    ("()" * 5000, "U:" + "()" * 5000, CenterResult(centers=(0,), radius=1)),
+]
+
+
+@pytest.mark.parametrize("code, line, result", DEEP_AND_WIDE, ids=["path", "star"])
+class TestDeepAndWide:
+    # every walk over the code is iterative, so no RecursionError at any size
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_canonical_plane_and_parse(self, code, line, result, mode):
+        form = canonical_plane(decode(code), mode)
+        assert form.serialize() == line
+        assert PlaneTree.parse(line, mode) == form
+
+    def test_center(self, code, line, result):
+        assert center(decode(code)) == result
+
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_validate_flow_graph_with_rotations(self, code, line, result, mode):
+        adj = rotation_system(decode(code))
+        edges = [(v, w) for v, nbrs in enumerate(adj) for w in nbrs if v < w]
+        flow = validate_flow_graph(len(adj), edges, rotations=adj, mode=mode)
+        assert flow.separatrices.serialize() == line
 
 
 class TestChirality:

@@ -6,6 +6,8 @@ import os
 import pathlib
 import pickle
 import stat
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 
@@ -470,3 +472,21 @@ class TestContract:
         monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")
         code, _, err = run(capsys, "enumerate", "--edges", "3")
         assert code == 1 and "cap" in err
+
+    @pytest.mark.parametrize("selector", ["--edges", "--vertices"])
+    def test_reader_closing_stdout_ends_quietly(self, selector):
+        # as `plane-forest enumerate --edges 12 | head -1`: the reader takes
+        # one line and closes the pipe long before the stream ends
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plane_forest.cli", "enumerate", selector, "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(source)},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first.strip() and err == b""
