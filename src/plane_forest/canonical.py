@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import LimitExceeded, MalformedCode
@@ -172,34 +173,47 @@ def center(tree: RootedPlaneTree) -> CenterResult:
 
 
 def _rooted_codes(adj: list[list[int]], root: int) -> list[str]:
-    # the branch words "(...)" at root, in root's cyclic order; each is
-    # built leaves first over a BFS order, with every vertex's children
-    # read cyclically after its parent
-    parent = [-1] * len(adj)
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    # each code is popped by its parent, so the codes held at any time
-    # belong to disjoint subtrees
-    codes: dict[int, str] = {}
-    for v in reversed(order[1:]):
-        nbrs = adj[v]
-        k = nbrs.index(parent[v])
-        codes[v] = "(" + "".join([codes.pop(w) for w in nbrs[k + 1 :] + nbrs[:k]]) + ")"
-    return [codes.pop(w) for w in adj[root]]
+    # the branch words "(...)" at root, in root's cyclic order, from one
+    # walk round the contour: '(' down each edge, ')' back up. A vertex's
+    # children follow its parent cyclically, so its parent's place in its
+    # list is looked up once, on the way down, and the scan stops there.
+    words = []
+    for first in adj[root]:
+        chars = ["("]
+        path = []
+        v = first
+        at = stop = adj[v].index(root)
+        while True:
+            nbrs = adj[v]
+            at = (at + 1) % len(nbrs)
+            if at == stop:
+                chars.append(")")
+                if not path:
+                    break
+                v, at, stop = path.pop()
+            else:
+                w = nbrs[at]
+                path.append((v, at, stop))
+                chars.append("(")
+                at = stop = adj[w].index(v)
+                v = w
+        words.append("".join(chars))
+    return words
 
 
 def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     # least code over the rotations of a root's branch words (and their
-    # mirror images, in MIRROR mode); branch words are primitive Dyck
-    # words, a prefix code, so word lists compare as their joins do
-    orders = [words]
+    # mirror images, in MIRROR mode), each a slice of the doubled join cut
+    # at a word boundary; branch words are primitive Dyck words, a prefix
+    # code, so word lists compare as their joins do
+    code = "".join(words)
+    n = len(code)
+    cuts = list(accumulate(map(len, words[:-1]), initial=0))
+    joins = [(code + code, cuts)]
     if mode is EquivalenceMode.MIRROR:
-        orders.append([word[::-1].translate(_MIRROR) for word in reversed(words)])
-    return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
+        image = code[::-1].translate(_MIRROR)
+        joins.append((image + image, [n - cut for cut in cuts]))
+    return min(doubled[cut : cut + n] for doubled, starts in joins for cut in starts)
 
 
 def _least_bicentral(a: str, b: str, mode: EquivalenceMode) -> str:

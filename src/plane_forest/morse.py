@@ -101,7 +101,9 @@ def validate_flow_graph(
         parent[ra] = rb
         neighbors[a].append(b)
         neighbors[b].append(a)
-    if len({find(v) for v in range(vertices)}) > 1:
+    # no edge closed a cycle, so the graph is a forest: a tree iff it has
+    # one edge fewer than vertices
+    if len(pairs) != vertices - 1:
         raise Disconnected(f"{vertices} vertices but only {len(pairs)} tree edges")
 
     if adj is None:

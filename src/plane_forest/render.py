@@ -135,7 +135,9 @@ def render_svg(tree: RootedPlaneTree, layout: str = "radial") -> str:
     min_x, min_y = min(xs) - pad, min(ys) - pad
     width = max(xs) - min_x + pad
     height = max(ys) - min_y + pad
-    shifted = [(x - min_x, y - min_y) for x, y in points]
+    # each coordinate is formatted once, for its circle and its lines
+    fxs = ["%.2f" % (x - min_x) for x in xs]
+    fys = ["%.2f" % (y - min_y) for y in ys]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -143,12 +145,12 @@ def render_svg(tree: RootedPlaneTree, layout: str = "radial") -> str:
         f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
     ]
     for vid in range(1, len(parents)):
-        (x1, y1), (x2, y2) = shifted[parents[vid]], shifted[vid]
+        p = parents[vid]
         lines.append(
-            f'  <line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'  <line x1="{fxs[p]}" y1="{fys[p]}" x2="{fxs[vid]}" y2="{fys[vid]}" '
             'stroke="black" stroke-width="1.5"/>'
         )
-    for x, y in shifted:
-        lines.append(f'  <circle cx="{x:.2f}" cy="{y:.2f}" r="5" fill="black"/>')
+    for x, y in zip(fxs, fys):
+        lines.append(f'  <circle cx="{x}" cy="{y}" r="5" fill="black"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

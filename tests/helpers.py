@@ -6,7 +6,8 @@ import random
 
 from hypothesis import strategies as st
 
-from plane_forest import RootedPlaneTree
+from plane_forest import EquivalenceMode, RootedPlaneTree
+from plane_forest.trees import _MIRROR
 
 
 def tree_strategy(max_leaves: int = 24) -> st.SearchStrategy[RootedPlaneTree]:
@@ -78,3 +79,33 @@ def _strip_centers(adj: list[list[int]]) -> list[int]:
                         nxt.append(w)
         layer = nxt
     return [v for v in range(n) if not removed[v]]
+
+
+def _rooted_codes(adj: list[list[int]], root: int) -> list[str]:
+    # the branch words "(...)" at root, in root's cyclic order; each is
+    # built leaves first over a BFS order, with every vertex's children
+    # read cyclically after its parent
+    parent = [-1] * len(adj)
+    order = [root]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    # each code is popped by its parent, so the codes held at any time
+    # belong to disjoint subtrees
+    codes: dict[int, str] = {}
+    for v in reversed(order[1:]):
+        nbrs = adj[v]
+        k = nbrs.index(parent[v])
+        codes[v] = "(" + "".join([codes.pop(w) for w in nbrs[k + 1 :] + nbrs[:k]]) + ")"
+    return [codes.pop(w) for w in adj[root]]
+
+
+def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
+    # least code over the rotations of a root's branch words (and their
+    # mirror images, in MIRROR mode), as the least word list
+    orders = [words]
+    if mode is EquivalenceMode.MIRROR:
+        orders.append([word[::-1].translate(_MIRROR) for word in reversed(words)])
+    return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))

@@ -24,8 +24,9 @@ from plane_forest import (
     validate_flow_graph,
 )
 from plane_forest.canonical import _least_rotation, _rooted_codes
-from plane_forest.trees import _corner_codes
+from plane_forest.trees import _corner_codes, _factors
 
+import helpers
 from helpers import _strip_centers, random_tree, tree_strategy
 
 ORIENTED = EquivalenceMode.ORIENTED
@@ -167,7 +168,9 @@ class TestCanonicalPlane:
 def least_code_over_centers(tree, mode):
     # the definition: the least rotation of the branch words at each center
     adj = rotation_system(tree)
-    return min(_least_rotation(_rooted_codes(adj, c), mode) for c in _strip_centers(adj))
+    return min(
+        helpers._least_rotation(helpers._rooted_codes(adj, c), mode) for c in _strip_centers(adj)
+    )
 
 
 def centers_by_leaf_stripping(tree):
@@ -216,6 +219,31 @@ class TestCenterDefinition:
         assert center(tree) == centers_by_leaf_stripping(tree)
 
 
+class TestAgainstReferences:
+    # the contour walk and the least slice of the doubled join against the
+    # BFS concatenation and the least word list they replaced
+    def test_rooted_codes_at_every_root_up_to_eight_edges(self):
+        for edges in range(0, 9):
+            for tree in enumerate_rooted(edges):
+                adj = rotation_system(tree)
+                for root in range(len(adj)):
+                    assert _rooted_codes(adj, root) == helpers._rooted_codes(adj, root)
+
+    @given(st.integers(min_value=1, max_value=300), st.randoms(use_true_random=False))
+    @settings(max_examples=30)
+    def test_rooted_codes_on_random_trees(self, vertices, rng):
+        adj = rotation_system(random_tree(rng, vertices))
+        for root in range(vertices):
+            assert _rooted_codes(adj, root) == helpers._rooted_codes(adj, root)
+
+    def test_least_rotation_on_every_word_list_up_to_ten_edges(self):
+        for edges in range(0, 11):
+            for code in iter_dyck_codes(edges):
+                words = _factors(code)
+                for mode in (ORIENTED, MIRROR):
+                    assert _least_rotation(words, mode) == helpers._least_rotation(words, mode)
+
+
 # a 5,000-vertex path rooted at an end and a 5,000-leaf star rooted at its
 # hub: the longest walk and the widest sibling scan
 DEEP_AND_WIDE = [
@@ -239,6 +267,14 @@ class TestDeepAndWide:
 
     def test_center(self, code, line, result):
         assert center(decode(code)) == result
+
+    def test_against_references(self, code, line, result):
+        adj = rotation_system(decode(code))
+        for root in (0, len(adj) - 1):
+            words = _rooted_codes(adj, root)
+            assert words == helpers._rooted_codes(adj, root)
+            for mode in (ORIENTED, MIRROR):
+                assert _least_rotation(words, mode) == helpers._least_rotation(words, mode)
 
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
     def test_validate_flow_graph_with_rotations(self, code, line, result, mode):

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pickle
+import random
 import stat
 import subprocess
 import sys
@@ -28,6 +29,8 @@ from plane_forest import (
     validate_flow_graph,
 )
 from plane_forest.cli import main
+
+from helpers import random_tree
 
 
 def run(capsys, *argv):
@@ -306,6 +309,39 @@ class TestRender:
             assert status == 0
             outputs.update(out.encode())
         assert outputs.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed,vertices,radial,layered",
+        [
+            (
+                1,
+                200,
+                "bcc8c0ad5c022d37fe227cf9a8c298639d7669dede6fbf557da790f02f9f0226",
+                "1692451859ee90102b397b8af4803dfd8380d6c62ca746a4fa7c593b1772cc32",
+            ),
+            (
+                2,
+                300,
+                "9406c37d838016c8f9850b4ade584e0089c0fb33d449cdd9e2edf863a6d6fbf5",
+                "e751d177a8d9ced0078313012d4e674d0362dd51ed7e0c123e3b53b867191d90",
+            ),
+            (
+                3,
+                400,
+                "f6f57f273e265a7052682444f11f40508b8ee8834f4f75fd676fa32e6964f1e8",
+                "22a5bd99cbef31fa259dfc17a3fa30e2989b0d4b6de9c01f6ea74562124eeab2",
+            ),
+        ],
+    )
+    def test_large_svg_bytes_frozen(self, capsys, seed, vertices, radial, layered):
+        # seeded random trees, as rendered when each coordinate was still
+        # formatted once per line end and once per circle
+        code = encode(random_tree(random.Random(seed), vertices))
+        for layout, digest in (("radial", radial), ("layered", layered)):
+            args = ["render", "--code", code, "--format", "svg", "--layout", layout]
+            status, out, _ = run(capsys, *args)
+            assert status == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "args", [["dot"], ["svg", "--layout", "radial"], ["svg", "--layout", "layered"]]

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,16 @@ class TestValidateFlowGraph:
         with pytest.raises(Disconnected):
             validate_flow_graph(2, [])
 
+    def test_forest_rejected_as_disconnected(self):
+        with pytest.raises(Disconnected, match=r"^4 vertices but only 2 tree edges$"):
+            validate_flow_graph(4, [(0, 1), (2, 3)])
+
+    def test_cycle_reported_before_disconnection(self):
+        with pytest.raises(HasCycle, match=r"^edge \(2, 0\) closes a cycle$"):
+            validate_flow_graph(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(HasCycle, match=r"^edge \(2, 0\) closes a cycle$"):
+            validate_flow_graph(5, [(0, 1), (1, 2), (2, 0)])
+
     def test_self_loop_rejected(self):
         with pytest.raises(HasCycle):
             validate_flow_graph(2, [(0, 1), (1, 1)])
@@ -135,6 +146,30 @@ class TestValidateFlowGraph:
             vertices = rng.randint(1, 10)
             flow = validate_flow_graph(vertices, random_tree_edges(rng, vertices))
             assert flow.sources - flow.saddles + flow.sinks == 2
+
+
+# a 20,001-vertex star with its hub first and last, and a 10,000-edge path
+LARGE = 20_001
+LARGE_FLOW_GRAPHS = [
+    (LARGE, [(0, v) for v in range(1, LARGE)], "U:" + "()" * (LARGE - 1)),
+    (LARGE, [(LARGE - 1, v) for v in range(LARGE - 1)], "U:" + "()" * (LARGE - 1)),
+    (10_001, [(v, v + 1) for v in range(10_000)], "U:" + ("(" * 5000 + ")" * 5000) * 2),
+]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, line", LARGE_FLOW_GRAPHS, ids=["star", "star-hub-last", "path"]
+)
+class TestLargeFlowGraphs:
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_linear_time(self, vertices, edges, line, mode):
+        # about 0.2 s of work; a least rotation that builds a word list per
+        # rotation, or a contour walk that looks up its place in the hub's
+        # list on every step, takes seconds on the stars
+        start = time.process_time()
+        flow = validate_flow_graph(vertices, edges, mode=mode)
+        assert time.process_time() - start < 1.0
+        assert flow.separatrices.serialize() == line
 
 
 class TestCountFlows:
