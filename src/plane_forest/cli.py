@@ -35,6 +35,9 @@ from .canonical import canonical_plane, rerooting_oracle_canon
 #: 4300 digits; a constant, so the cap holds where Python sets no limit.
 _COUNT_MAX_EDGES = 7152
 
+#: Codes joined into each write of the rooted stream.
+_CHUNK = 1024
+
 
 def _file_mode(path: str) -> int:
     # the permissions open(path, "w") gives: an existing file keeps its
@@ -96,26 +99,26 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rooted_json(edges: int, codes: Iterator[str]) -> Iterator[str]:
-    # json.dumps({"edges": edges, "count": n, "codes": codes}, indent=2,
-    # sort_keys=True) + "\n", written as the codes stream: there is always
-    # at least one code, and parentheses need no escaping
-    yield '{\n  "codes": [\n    "' + next(codes) + '"'
-    yield from map(',\n    "{}"'.format, codes)
-    yield f'\n  ],\n  "count": {count_rooted(edges)},\n  "edges": {edges}\n}}\n'
+def _joined(items: Iterator[str], sep: str) -> Iterator[str]:
+    # sep.join(items), a chunk at a time; sep also leads every chunk after the first
+    lead = ""
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        yield lead + sep.join(chunk)
+        lead = sep
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if _rooted_route(args):
-        if args.format == "codes":
-            _emit((code + "\n" for code in rooted_codes(args.edges)), args.out)
-        elif args.format == "catalog":
-            # the header is counted, not listed, so the codes stream as above
-            lines = (code + "\n" for code in rooted_codes(args.edges))
-            header = f"# rooted-trees edges={args.edges} count={count_rooted(args.edges)}\n"
-            _emit(itertools.chain([header], lines), args.out)
-        else:
-            _emit(_rooted_json(args.edges, rooted_codes(args.edges)), args.out)
+        n = args.edges
+        codes, count = rooted_codes(n), count_rooted(n)  # a cap error comes before any output
+        # json as json.dumps(doc, indent=2, sort_keys=True) + "\n"; no code needs escaping
+        head, sep, foot = {
+            "codes": ("", "\n", "\n"),
+            "catalog": (f"# rooted-trees edges={n} count={count}\n", "\n", "\n"),
+            "json": ('{\n  "codes": [\n    "', '",\n    "',
+                     f'"\n  ],\n  "count": {count},\n  "edges": {n}\n}}\n'),
+        }[args.format]
+        _emit(itertools.chain([head], _joined(codes, sep), [foot]), args.out)
         return 0
 
     mode = EquivalenceMode(args.mode)
@@ -131,10 +134,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_flows(args: argparse.Namespace) -> int:
     mode = EquivalenceMode(args.mode)
-    lines = [str(count_flows(args.saddles, mode, limit=args.max_vertices)) + "\n"]
-    if args.list:
+    if args.list:  # the count line is the length of the list: one enumeration
         flows = enumerate_flows(args.saddles, mode, limit=args.max_vertices)
-        lines.extend(flow_record(flow) + "\n" for flow in flows)
+        lines = [f"{len(flows)}\n", *(flow_record(flow) + "\n" for flow in flows)]
+    else:
+        lines = [f"{count_flows(args.saddles, mode, limit=args.max_vertices)}\n"]
     _emit(lines, args.out)
     return 0
 

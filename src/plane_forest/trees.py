@@ -238,7 +238,8 @@ def _dyck_codes(edges: int, max_height: int) -> Iterator[str]:
     while stack:
         prefix, opens_left, depth = stack.pop()
         if 2 * opens_left + depth == tail:
-            yield from map(prefix.__add__, table[opens_left, depth])
+            for rest in table[opens_left, depth]:
+                yield prefix + rest
             continue
         if depth:
             stack.append((prefix + ")", opens_left, depth - 1))

@@ -24,10 +24,12 @@ from plane_forest import (
     count_rooted,
     decode,
     encode,
+    iter_dyck_codes,
     reflect,
     rotation_system,
     validate_flow_graph,
 )
+from plane_forest import cli
 from plane_forest.cli import main
 
 from helpers import random_tree
@@ -116,20 +118,47 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--edges", "3", "--format", "json")
         assert json.loads(out)["count"] == 5
 
-    def test_rooted_json_matches_json_dumps(self, capsys):
-        # the document is written piece by piece as the codes stream
-        for edges in range(0, 9):
-            codes = run(capsys, "enumerate", "--edges", str(edges), "--format", "codes")[1]
-            doc = {"edges": edges, "count": count_rooted(edges), "codes": codes.splitlines()}
-            code, out, _ = run(capsys, "enumerate", "--edges", str(edges), "--format", "json")
-            assert code == 0
-            assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    def test_rooted_json_matches_json_dumps(self, capsys, tmp_path):
+        # every --edges format, on stdout and through --out, against a
+        # reference built from the code list; the codes are written in
+        # joined chunks, and Catalan(8..11) fill one chunk or more
+        for edges in range(0, 12):
+            codes = list(iter_dyck_codes(edges))
+            text = "".join(code + "\n" for code in codes)
+            doc = {"edges": edges, "count": len(codes), "codes": codes}
+            expected = {
+                "codes": text,
+                "catalog": f"# rooted-trees edges={edges} count={len(codes)}\n" + text,
+                "json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+            }
+            for fmt, want in expected.items():
+                argv = ["enumerate", "--edges", str(edges), "--format", fmt]
+                assert run(capsys, *argv) == (0, want, "")
+                target = tmp_path / f"{edges}.{fmt}"
+                assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+                assert target.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 1023, 1024, 1025, 2048, 2049, 5000])
+    def test_joined_is_one_join(self, size):
+        # chunk edges fall anywhere, and an empty item (the 0-edge code)
+        # still counts as an item
+        items = [str(i) if i % 7 else "" for i in range(size)]
+        for sep in ("\n", '",\n    "'):
+            chunks = list(cli._joined(iter(items), sep))
+            assert "".join(chunks) == sep.join(items)
+            assert len(chunks) == -(-size // cli._CHUNK)
 
     def test_rooted_twelve_edges_frozen(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--edges", "12", "--format", "codes")
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "0d0c1019b1c5e7d1e57d36b0b68440a32881ab19bacd0dfc027d774b135c854c"
+
+    def test_rooted_twelve_edges_catalog_frozen(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--edges", "12", "--format", "catalog")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "217b0ecd82afc5f7e2a53a1a2098ab39ed970a3504c0b7f5484350b0d62866c7"
 
     def test_out_file_permissions(self, capsys, tmp_path):
         # as open(out, "w") would leave them: 0o666 less the umask for a
@@ -165,6 +194,23 @@ class TestEnumerate:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # no stray temp files either
 
+    @pytest.mark.parametrize("fmt", ["codes", "catalog", "json"])
+    @pytest.mark.parametrize("env_cap, edges", [(None, "17"), ("2", "3")])
+    def test_refused_rooted_cap_leaves_nothing(
+        self, capsys, monkeypatch, tmp_path, fmt, env_cap, edges
+    ):
+        # the default cap of 16 edges, or a lower one from the environment
+        if env_cap is None:
+            monkeypatch.delenv("PLANE_FOREST_MAX_EDGES", raising=False)
+        else:
+            monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", env_cap)
+        target = tmp_path / "never.txt"
+        for out in ([], ["--out", str(target)]):
+            code, stdout, err = run(capsys, "enumerate", "--edges", edges, "--format", fmt, *out)
+            assert code == 1 and stdout == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and "cap" in err
+            assert list(tmp_path.iterdir()) == []  # no target, no temp file
+
     def test_round_trip_into_render_and_decode(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--vertices", "7", "--format", "codes")
         assert code == 0
@@ -185,6 +231,22 @@ class TestFlows:
         lines = out.splitlines()
         assert code == 0 and lines[0] == "1"
         assert lines[1] == "sources=3 saddles=2 sinks=1 tree=U:()()"
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_catalog_is_enumerated_once(self, capsys, monkeypatch, listed):
+        # with --list the count line is the length of the list
+        glue, calls = plane_forest.enumerate_plane_center, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return glue(*args, **kwargs)
+
+        monkeypatch.setattr("plane_forest.enumeration.enumerate_plane_center", counted)
+        monkeypatch.setattr("plane_forest.morse.enumerate_plane_center", counted)
+        code, out, _ = run(capsys, "flows", "--saddles", "6", *(["--list"] if listed else []))
+        assert code == 0 and out.splitlines()[0] == "14"
+        assert len(out.splitlines()) == (15 if listed else 1)
+        assert len(calls) == 1
 
     def test_mode_flag(self, capsys):
         code, out, _ = run(capsys, "flows", "--saddles", "7", "--mode", "mirror")
