@@ -14,12 +14,12 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .enumeration import (
     ORACLE_MAX_VERTICES,
-    catalog_json,
-    catalog_text,
+    _catalog,
+    _joined,
     count_plane,
     enumerate_plane_center,
     reconcile_counts,
@@ -34,9 +34,6 @@ from .canonical import canonical_plane, rerooting_oracle_canon
 #: Most edges whose Catalan number prints within Python's default limit of
 #: 4300 digits; a constant, so the cap holds where Python sets no limit.
 _COUNT_MAX_EDGES = 7152
-
-#: Codes joined into each write of the rooted stream.
-_CHUNK = 1024
 
 
 def _file_mode(path: str) -> int:
@@ -99,14 +96,6 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _joined(items: Iterator[str], sep: str) -> Iterator[str]:
-    # sep.join(items), a chunk at a time; sep also leads every chunk after the first
-    lead = ""
-    while chunk := list(itertools.islice(items, _CHUNK)):
-        yield lead + sep.join(chunk)
-        lead = sep
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if _rooted_route(args):
         n = args.edges
@@ -123,12 +112,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     mode = EquivalenceMode(args.mode)
     classes = enumerate_plane_center(args.vertices, mode, limit=args.max_vertices)
-    if args.format == "codes":
-        _emit((p.serialize() + "\n" for p in classes), args.out)
-    elif args.format == "catalog":
-        _emit([catalog_text(args.vertices, mode, classes)], args.out)
-    else:
-        _emit([catalog_json(args.vertices, mode, classes)], args.out)
+    _emit(_catalog(args.vertices, mode, classes, args.format), args.out)
     return 0
 
 

@@ -10,12 +10,15 @@ So one walk glues both. Branch words `(b)` are primitive Dyck words, a
 prefix code, so a canonical code rooted at a center is a necklace (in
 MIRROR mode, a bracelet) over the ordered alphabet of branch words: its
 join is its least rotation. An iterative prenecklace walk with letter
-weights and a prune on the vertices left reaches every such word list,
-and one least-rotation test keeps exactly one list per class. A kept pair
-`(a)(b)` one vertex larger is the bicentral tree with halves a and b, and
-`canonical._least_bicentral`, the one bicentral rule, which canonical
-forms use too, takes its least code over both ends of the central edge.
-No glued code is scanned back into a tree.
+weights and a prune on the vertices left reaches every such word list.
+It tracks p, the length of the longest Lyndon prefix, and a prenecklace
+is a necklace exactly when p divides its length: ORIENTED keeps a list
+on that test alone, and MIRROR takes the least rotation of a necklace
+and of its mirror image only to keep a bracelet. Exactly one list per
+class is kept. A kept pair `(a)(b)` one vertex larger is the bicentral
+tree with halves a and b, and `canonical._least_bicentral`, the one
+bicentral rule, which canonical forms use too, takes its least code over
+both ends of the central edge. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -24,10 +27,10 @@ byte-for-byte, which is the strongest consistency check in the package.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .canonical import Centrality, PlaneTree, _least_bicentral, _least_rotation, _plane_tree_of
 from .errors import LimitExceeded
@@ -35,7 +38,6 @@ from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _dyck_codes,
-    _factors,
     _height_of,
     _tree_of,
     count_rooted,
@@ -48,6 +50,9 @@ DEFAULT_MAX_VERTICES = 12
 
 #: The brute-force route touches Catalan(v-1) trees; keep it at desk scale.
 ORACLE_MAX_VERTICES = 10
+
+#: Codes joined into each piece of a streamed listing.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,31 +109,40 @@ def _pool(vertices: int, max_height: int) -> tuple[_PoolEntry, ...]:
     )
 
 
-def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[str]:
-    # the joins of `budget` vertices' worth of branch words, at most `most`
-    # of them and two or more of the top height h, that are their own least
-    # rotation. An iterative FKM prenecklace walk: each word is >= the word
-    # p back, p being the length of the longest Lyndon prefix so far. A
-    # branch of s vertices has a sibling as tall, so its height is at most
-    # budget - 1 - s, and each tall word still missing needs h + 1 vertices.
+def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[str]]:
+    # the lists of `budget` vertices' worth of branch words, at most `most`
+    # of them and two or more of the top height h, whose join is their own
+    # least rotation. An iterative FKM prenecklace walk: each word is >= the
+    # word p back, p being the length of the longest Lyndon prefix so far,
+    # and a prenecklace is a necklace iff p divides its length, so only
+    # MIRROR rotates, and only necklaces, to test for a bracelet. A branch
+    # of s vertices has a sibling as tall, so its height is at most
+    # budget - 1 - s; each tall word still missing needs h + 1 vertices, and
+    # the last of `most` words takes all the vertices left.
+    mirror = mode is EquivalenceMode.MIRROR
     for h in range(budget // 2):
         stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
         while stack:
             words, p, left, tall = stack.pop()
             if not left:
-                code = "".join(words)
-                if _least_rotation(words, mode) == code:
-                    yield code
-                continue
-            if len(words) == most:
+                if len(words) % p == 0 and (not mirror or _least_rotation(words, mode) == "".join(words)):
+                    yield words
                 continue
             back = words[-p] if words else ""
-            for size in range(1, left + 1):
+            for size in range(1, left + 1) if len(words) + 1 < most else (left,):
                 for word, height in _pool(size, min(h, budget - 1 - size)):
                     now = tall + (height == h)
                     if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
                         step = p if word == back else len(words) + 1
                         stack.append((words + [word], step, left - size, now))
+
+
+def _checked(vertices: int, limit: int | None, cap: int, route: str) -> None:
+    if vertices < 1:
+        raise ValueError(f"vertex count must be positive, got {vertices}")
+    cap = cap if limit is None else limit
+    if vertices > cap:
+        raise LimitExceeded(f"{vertices} vertices exceeds the {route} cap of {cap}")
 
 
 def enumerate_plane_center(
@@ -143,27 +157,20 @@ def enumerate_plane_center(
     Raises LimitExceeded above the cap (default 12) and ValueError for a
     non-positive vertex count.
     """
-    if vertices < 1:
-        raise ValueError(f"vertex count must be positive, got {vertices}")
-    cap = DEFAULT_MAX_VERTICES if limit is None else limit
-    if vertices > cap:
-        raise LimitExceeded(f"{vertices} vertices exceeds the enumeration cap of {cap}")
+    _checked(vertices, limit, DEFAULT_MAX_VERTICES, "enumeration")
     if vertices <= 2:
         # the single vertex and the single edge have nothing to glue
         return [_plane_tree_of("()" * (vertices - 1), mode)]
 
-    results = [
-        PlaneTree(canon=code, mode=mode, centrality=Centrality.UNICENTRAL)
-        for code in _necklaces(vertices - 1, vertices - 1, mode)
-    ]
+    unicentral = map("".join, _necklaces(vertices - 1, vertices - 1, mode))
     # two-branch necklaces one vertex larger are the bicentral half pairs
-    results.extend(
-        PlaneTree(_least_bicentral(a[1:-1], b[1:-1], mode), mode, Centrality.BICENTRAL)
-        for a, b in map(_factors, _necklaces(vertices, 2, mode))
-    )
-    results.sort(key=PlaneTree.serialize)
-    # one least-rotation test per necklace must leave no duplicate
-    assert all(x != y for x, y in zip(results, results[1:])), "gluing emitted a duplicate"
+    bicentral = (_least_bicentral(a[1:-1], b[1:-1], mode) for a, b in _necklaces(vertices, 2, mode))
+    results: list[PlaneTree] = []
+    # serialized, "B:" sorts before "U:"
+    for kind, codes in (Centrality.BICENTRAL, sorted(bicentral)), (Centrality.UNICENTRAL, sorted(unicentral)):
+        # one necklace test per class must leave no duplicate
+        assert all(x != y for x, y in zip(codes, codes[1:])), "gluing emitted a duplicate"
+        results += [PlaneTree(code, mode, kind) for code in codes]
     return results
 
 
@@ -175,11 +182,7 @@ def enumerate_plane_oracle(
 ) -> list[PlaneTree]:
     """Brute-force route: canonicalize all Catalan(vertices-1) rooted trees
     and dedup. Verification-grade, capped at 10 vertices by default."""
-    if vertices < 1:
-        raise ValueError(f"vertex count must be positive, got {vertices}")
-    cap = ORACLE_MAX_VERTICES if limit is None else limit
-    if vertices > cap:
-        raise LimitExceeded(f"{vertices} vertices exceeds the oracle cap of {cap}")
+    _checked(vertices, limit, ORACLE_MAX_VERTICES, "oracle")
     classes = {_plane_tree_of(code, mode) for code in iter_dyck_codes(vertices - 1)}
     return sorted(classes, key=PlaneTree.serialize)
 
@@ -190,8 +193,13 @@ def count_plane(
     *,
     limit: int | None = None,
 ) -> int:
-    """Number of plane-tree classes with the given vertex count."""
-    return len(enumerate_plane_center(vertices, mode, limit=limit))
+    """Number of plane-tree classes with the given vertex count: the gluing
+    walk's unicentral lists and bicentral pairs, with no class built."""
+    _checked(vertices, limit, DEFAULT_MAX_VERTICES, "enumeration")
+    if vertices <= 2:
+        return 1
+    walks = _necklaces(vertices - 1, vertices - 1, mode), _necklaces(vertices, 2, mode)
+    return sum(1 for walk in walks for _ in walk)
 
 
 # Counts asserted by the hand enumeration that this package audits. The
@@ -244,46 +252,43 @@ def reconcile_counts() -> ReconcileReport:
     for edges, claimed in sorted(CLAIMED_ROOTED.items()):
         exact = count_rooted(edges)
         rows.append(ReconcileRow("rooted", edges, claimed, exact, exact))
-    plane_counts = {
-        mode: {v: count_plane(v, mode) for v in sorted(CLAIMED_PLANE)}
-        for mode in EquivalenceMode
-    }
-    for v, claimed in sorted(CLAIMED_PLANE.items()):
-        rows.append(
-            ReconcileRow(
-                "plane",
-                v,
-                claimed,
-                plane_counts[EquivalenceMode.ORIENTED][v],
-                plane_counts[EquivalenceMode.MIRROR][v],
-            )
-        )
-    for saddles, claimed in sorted(CLAIMED_FLOWS.items()):
-        rows.append(
-            ReconcileRow(
-                "flows",
-                saddles,
-                claimed,
-                plane_counts[EquivalenceMode.ORIENTED][saddles + 1],
-                plane_counts[EquivalenceMode.MIRROR][saddles + 1],
-            )
-        )
+    plane = {v: [count_plane(v, mode) for mode in (EquivalenceMode.ORIENTED, EquivalenceMode.MIRROR)]
+             for v in CLAIMED_PLANE}
+    rows += [ReconcileRow("plane", v, claimed, *plane[v]) for v, claimed in sorted(CLAIMED_PLANE.items())]
+    rows += [ReconcileRow("flows", s, claimed, *plane[s + 1]) for s, claimed in sorted(CLAIMED_FLOWS.items())]
     return ReconcileReport(tuple(rows))
+
+
+def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    # sep.join(items), a chunk at a time; sep also leads every chunk after the first
+    items, lead = iter(items), ""
+    while chunk := list(islice(items, _CHUNK)):
+        yield lead + sep.join(chunk)
+        lead = sep
+
+
+def _catalog(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree], fmt: str) -> Iterator[str]:
+    # a catalog in one of the CLI formats ("codes", "catalog" or "json"), a
+    # chunk of classes at a time; the json is json.dumps(doc, indent=2,
+    # sort_keys=True) + "\n", since no code needs escaping
+    n = len(classes)
+    head, start, sep, end, tail = {
+        "codes": ("", "", "\n", "\n", ""),
+        "catalog": (f"# plane-trees v={vertices} mode={mode.value} count={n}\n", "", "\n", "\n", ""),
+        "json": ('{\n  "codes": [', '\n    "', '",\n    "', '"\n  ',
+                 f'],\n  "count": {n},\n  "mode": "{mode.value}",\n  "vertices": {vertices}\n}}\n'),
+    }[fmt]
+    yield head
+    if classes:  # nothing between head and tail: json.dumps writes an empty list as []
+        yield from chain([start], _joined(map(PlaneTree.serialize, classes), sep), [end])
+    yield tail
 
 
 def catalog_text(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:
     """Plain-text catalog: one header line, then one serialized class per line."""
-    lines = [f"# plane-trees v={vertices} mode={mode.value} count={len(classes)}"]
-    lines.extend(p.serialize() for p in classes)
-    return "\n".join(lines) + "\n"
+    return "".join(_catalog(vertices, mode, classes, "catalog"))
 
 
 def catalog_json(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:
     """Machine-readable catalog with fields vertices, mode, count, codes."""
-    doc = {
-        "vertices": vertices,
-        "mode": mode.value,
-        "count": len(classes),
-        "codes": [p.serialize() for p in classes],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "".join(_catalog(vertices, mode, classes, "json"))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from typing import Iterator
 
 from hypothesis import strategies as st
 
 from plane_forest import EquivalenceMode, RootedPlaneTree
+from plane_forest.enumeration import _pool
 from plane_forest.trees import _MIRROR
 
 
@@ -109,3 +111,28 @@ def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     if mode is EquivalenceMode.MIRROR:
         orders.append([word[::-1].translate(_MIRROR) for word in reversed(words)])
     return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
+
+
+def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[str]]:
+    # the gluing walk with the leaf rule as defined: every prenecklace of
+    # `budget` vertices' worth of branch words, at most `most` of them and
+    # two or more of the top height h, is kept iff its join is its own
+    # least rotation; lists of `most` words that leave vertices over are
+    # walked to and dropped
+    for h in range(budget // 2):
+        stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
+        while stack:
+            words, p, left, tall = stack.pop()
+            if not left:
+                if _least_rotation(words, mode) == "".join(words):
+                    yield words
+                continue
+            if len(words) == most:
+                continue
+            back = words[-p] if words else ""
+            for size in range(1, left + 1):
+                for word, height in _pool(size, min(h, budget - 1 - size)):
+                    now = tall + (height == h)
+                    if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
+                        step = p if word == back else len(words) + 1
+                        stack.append((words + [word], step, left - size, now))

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import json
 
 import pytest
 
@@ -23,7 +24,10 @@ from plane_forest import (
     enumerate_rooted,
     reconcile_counts,
 )
+from plane_forest import enumeration
 from plane_forest.trees import _factors
+
+from helpers import _necklaces as reference_necklaces
 
 ORIENTED = EquivalenceMode.ORIENTED
 MIRROR = EquivalenceMode.MIRROR
@@ -82,6 +86,23 @@ class TestCountPlane:
             count_plane(13)
         with pytest.raises(LimitExceeded):
             count_plane(5, limit=4)
+
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_counts_the_catalog(self, mode):
+        # the count is the walk's yields; no class is built for it
+        for v in range(1, 14):
+            assert count_plane(v, mode, limit=v) == len(_glued(v, mode))
+
+
+class TestNecklaceWalk:
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    @pytest.mark.parametrize("budget", range(1, 11))
+    def test_matches_the_reference_walk(self, budget, mode):
+        # the divisor test, the bracelet test and the last-word prune keep
+        # exactly the lists of the least-rotation rule, in its order
+        for most in sorted({2, budget}):
+            walked = list(enumeration._necklaces(budget, most, mode))
+            assert walked == list(reference_necklaces(budget, most, mode))
 
 
 class TestOracleRoute:
@@ -259,3 +280,15 @@ class TestCatalogFormats:
         assert doc["mode"] == "mirror"
         assert doc["count"] == 12
         assert len(doc["codes"]) == 12
+
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    @pytest.mark.parametrize("vertices", [1, 5, 11, 12])
+    def test_formats_against_their_definitions(self, vertices, mode):
+        # the formats are written a chunk of classes at a time; 12 vertices
+        # fill more than one chunk, and an empty list still has a header
+        for classes in (_glued(vertices, mode), []):
+            codes = [p.serialize() for p in classes]
+            doc = {"vertices": vertices, "mode": mode.value, "count": len(codes), "codes": codes}
+            assert catalog_json(vertices, mode, classes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            header = f"# plane-trees v={vertices} mode={mode.value} count={len(codes)}"
+            assert catalog_text(vertices, mode, classes) == "\n".join([header, *codes]) + "\n"
