@@ -16,8 +16,11 @@ re-rooting:
   center's cyclic child order;
 * bicentral trees: minimize over both endpoints of the central edge and
   all rotations of each endpoint's cyclic order. `_least_bicentral` is
-  this one rule, over the two rooted halves that the central edge joins;
-  gluing applies it too.
+  this one rule, over the two rooted halves of height h that the central
+  edge joins; gluing applies it too. The hanging half is the one branch
+  h + 1 deep at its end, so when it opens with h '(' the code that starts
+  with it wins and no rotation is taken; only when neither half opens (in
+  MIRROR mode, or ends) so are both ends minimized.
 
 In MIRROR mode the minimum additionally ranges over the reflected tree.
 The result is always the code of an actual rooted representative, so it
@@ -216,12 +219,29 @@ def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     return min(doubled[cut : cut + n] for doubled, starts in joins for cut in starts)
 
 
-def _least_bicentral(a: str, b: str, mode: EquivalenceMode) -> str:
+def _least_bicentral(a: str, b: str, height: int, mode: EquivalenceMode) -> str:
     # least code of the tree whose central edge joins the rooted halves a
-    # and b: rooted at either end, the other half hangs as one branch
-    return min(
-        _least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a))
-    )
+    # and b, both `height` tall. Rooted at either end x, the other half y
+    # hangs as the branch "(y)", the one word of that end's list that is
+    # height + 1 deep; the others are at most height deep, and so are
+    # their mirror images. A word opening with height + 1 '(' is less than
+    # one opening with fewer, and branch words are a prefix code, so the
+    # first word decides: every code opening with height + 1 '(' beats
+    # every code that does not. "(y)" opens so when y opens with height
+    # '(', and in MIRROR mode its image does when y ends with height ')'.
+    # The least of those codes wins, with no rotation taken; when there is
+    # none, every rotation at both ends is a candidate.
+    run, close = "(" * height, ")" * height
+    mirror = mode is EquivalenceMode.MIRROR
+    codes = []
+    for x, y in (a, b), (b, a):
+        if y.startswith(run):
+            codes.append("(" + y + ")" + x)
+        if mirror and y.endswith(close):
+            codes.append((x + "(" + y + ")")[::-1].translate(_MIRROR))
+    if codes:
+        return min(codes)
+    return min(_least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a)))
 
 
 def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
@@ -229,7 +249,7 @@ def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
     # the last center walked, the branch words are its children's, in
     # order, then the parent side: the code after the center's subtree and
     # then the code before it, with every walked edge turned round.
-    mate, path, _, bicentral = _center_walk(code)
+    mate, path, radius, bicentral = _center_walk(code)
     start, end = (path[-1] + 1, mate[path[-1]]) if path else (0, len(code))
     words = []
     i = start
@@ -243,7 +263,7 @@ def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
         words.append("".join(chars[end:] + chars[:start]))
     if bicentral:
         # the halves: the second center's children, and the parent side
-        canon = _least_bicentral(code[start:end], words[-1][1:-1], mode)
+        canon = _least_bicentral(code[start:end], words[-1][1:-1], radius - 1, mode)
         return PlaneTree(canon, mode, Centrality.BICENTRAL)
     return PlaneTree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
 

@@ -65,16 +65,20 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     mode = _file_mode(out)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plane-forest-")
+    tmp = ""
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plane-forest-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.chmod(tmp, mode)
             for line in lines:
                 handle.write(line)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # the temp file is hidden from the user, who named `out`
+            raise OSError(exc.errno, exc.strerror, out) from None
         raise
 
 

@@ -10,15 +10,20 @@ So one walk glues both. Branch words `(b)` are primitive Dyck words, a
 prefix code, so a canonical code rooted at a center is a necklace (in
 MIRROR mode, a bracelet) over the ordered alphabet of branch words: its
 join is its least rotation. An iterative prenecklace walk with letter
-weights and a prune on the vertices left reaches every such word list.
-It tracks p, the length of the longest Lyndon prefix, and a prenecklace
-is a necklace exactly when p divides its length: ORIENTED keeps a list
-on that test alone, and MIRROR takes the least rotation of a necklace
-and of its mirror image only to keep a bracelet. Exactly one list per
-class is kept. A kept pair `(a)(b)` one vertex larger is the bicentral
-tree with halves a and b, and `canonical._least_bicentral`, the one
-bicentral rule, which canonical forms use too, takes its least code over
-both ends of the central edge. No glued code is scanned back into a tree.
+weights and a prune on the vertices left reaches every such word list,
+and examines only the words it pushes: each size's words are in word
+order, so its pool is entered where the words may follow, the sizes stop
+once even a tall word would leave too few vertices, and only tall words
+are walked while only a tall word fits. It tracks p, the length of the
+longest Lyndon prefix, and a prenecklace is a necklace exactly when p
+divides its length: ORIENTED keeps a list on that test alone, and MIRROR
+keeps a necklace that is also no greater than any rotation of its mirror
+image, a bracelet. Exactly one list per class is kept. A kept pair
+`(a)(b)` of height h one vertex larger is the bicentral tree with halves
+a and b, and `canonical._least_bicentral(a, b, h, mode)`, the one
+bicentral rule, which canonical forms use too, names its class, taking a
+least code over both ends of the central edge only when neither half's
+opening run decides it. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -27,16 +32,18 @@ byte-for-byte, which is the strongest consistency check in the package.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .canonical import Centrality, PlaneTree, _least_bicentral, _least_rotation, _plane_tree_of
+from .canonical import Centrality, PlaneTree, _least_bicentral, _plane_tree_of
 from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
+    _MIRROR,
     _dyck_codes,
     _height_of,
     _tree_of,
@@ -95,46 +102,68 @@ def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
     return _tree_of(encode(first) + "(" + encode(second) + ")")
 
 
-class _PoolEntry(NamedTuple):
-    word: str  # a rooted plane tree's code wrapped as a branch, "(b)"
-    height: int  # the height of the tree b
+@lru_cache(maxsize=None)
+def _pool(vertices: int, max_height: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    # the branch words "(b)" of the trees b of this size and height <=
+    # max_height, in word order, and the height of each tree
+    codes = list(_dyck_codes(vertices - 1, max_height))
+    return tuple(["(" + code + ")" for code in codes]), tuple(map(_height_of, codes))
 
 
 @lru_cache(maxsize=None)
-def _pool(vertices: int, max_height: int) -> tuple[_PoolEntry, ...]:
-    # branch words of the trees of this size and height <= max_height, in code order
-    return tuple(
-        _PoolEntry("(" + code + ")", _height_of(code))
-        for code in _dyck_codes(vertices - 1, max_height)
-    )
+def _tall_pool(vertices: int, height: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    # the entries of _pool(vertices, height) whose tree is exactly this tall
+    words = tuple(word for word, tall in zip(*_pool(vertices, height)) if tall == height)
+    return words, (height,) * len(words)
 
 
-def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[str]]:
+def _bracelet(words: list[str]) -> bool:
+    # whether a necklace's join is also <= every rotation of its mirror
+    # image, cut at the image's word boundaries; it is its own least
+    # rotation already
+    code = "".join(words)
+    image = code[::-1].translate(_MIRROR)
+    doubled, n, cut = image + image, len(code), 0
+    for word in reversed(words):
+        if doubled[cut : cut + n] < code:
+            return False
+        cut += len(word)
+    return True
+
+
+def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[int, list[str]]]:
     # the lists of `budget` vertices' worth of branch words, at most `most`
     # of them and two or more of the top height h, whose join is their own
-    # least rotation. An iterative FKM prenecklace walk: each word is >= the
-    # word p back, p being the length of the longest Lyndon prefix so far,
-    # and a prenecklace is a necklace iff p divides its length, so only
-    # MIRROR rotates, and only necklaces, to test for a bracelet. A branch
-    # of s vertices has a sibling as tall, so its height is at most
-    # budget - 1 - s; each tall word still missing needs h + 1 vertices, and
-    # the last of `most` words takes all the vertices left.
+    # least rotation, each with its h. An iterative FKM prenecklace walk:
+    # each word is >= the word p back, p being the length of the longest
+    # Lyndon prefix so far, and a prenecklace is a necklace iff p divides
+    # its length, so only MIRROR tests necklaces, for a bracelet, against
+    # the rotations of their mirror image. Each tall word still missing
+    # needs h + 1 vertices: once even a tall word of this size would leave
+    # too few, no larger size fits, and while only a tall word fits, only
+    # the tall words are walked. The words of one size are in word order
+    # and are entered at the first that is >= the word p back, so every
+    # word examined is pushed. The last of `most` words takes all the
+    # vertices left.
     mirror = mode is EquivalenceMode.MIRROR
     for h in range(budget // 2):
         stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
         while stack:
             words, p, left, tall = stack.pop()
             if not left:
-                if len(words) % p == 0 and (not mirror or _least_rotation(words, mode) == "".join(words)):
-                    yield words
+                if len(words) % p == 0 and (not mirror or _bracelet(words)):
+                    yield h, words
                 continue
             back = words[-p] if words else ""
             for size in range(1, left + 1) if len(words) + 1 < most else (left,):
-                for word, height in _pool(size, min(h, budget - 1 - size)):
-                    now = tall + (height == h)
-                    if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
-                        step = p if word == back else len(words) + 1
-                        stack.append((words + [word], step, left - size, now))
+                spare = left - size
+                if (1 - tall) * (h + 1) > spare:
+                    break
+                pool, heights = (_tall_pool if (2 - tall) * (h + 1) > spare else _pool)(size, h)
+                i = bisect_left(pool, back)
+                for word, height in zip(pool[i:], heights[i:]):
+                    step = p if word == back else len(words) + 1
+                    stack.append((words + [word], step, spare, tall + (height == h)))
 
 
 def _checked(vertices: int, limit: int | None, cap: int, route: str) -> None:
@@ -162,9 +191,9 @@ def enumerate_plane_center(
         # the single vertex and the single edge have nothing to glue
         return [_plane_tree_of("()" * (vertices - 1), mode)]
 
-    unicentral = map("".join, _necklaces(vertices - 1, vertices - 1, mode))
+    unicentral = ("".join(words) for _, words in _necklaces(vertices - 1, vertices - 1, mode))
     # two-branch necklaces one vertex larger are the bicentral half pairs
-    bicentral = (_least_bicentral(a[1:-1], b[1:-1], mode) for a, b in _necklaces(vertices, 2, mode))
+    bicentral = (_least_bicentral(a[1:-1], b[1:-1], h, mode) for h, (a, b) in _necklaces(vertices, 2, mode))
     results: list[PlaneTree] = []
     # serialized, "B:" sorts before "U:"
     for kind, codes in (Centrality.BICENTRAL, sorted(bicentral)), (Centrality.UNICENTRAL, sorted(unicentral)):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plane_forest import EquivalenceMode, RootedPlaneTree
 from plane_forest.enumeration import _pool
-from plane_forest.trees import _MIRROR
+from plane_forest.trees import _MIRROR, _factors
 
 
 def tree_strategy(max_leaves: int = 24) -> st.SearchStrategy[RootedPlaneTree]:
@@ -113,6 +113,14 @@ def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
 
 
+def _least_bicentral(a: str, b: str, mode: EquivalenceMode) -> str:
+    # least code of the tree whose central edge joins the rooted halves a
+    # and b: rooted at either end, the other half hangs as one branch
+    return min(
+        _least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a))
+    )
+
+
 def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[str]]:
     # the gluing walk with the leaf rule as defined: every prenecklace of
     # `budget` vertices' worth of branch words, at most `most` of them and
@@ -131,7 +139,7 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[s
                 continue
             back = words[-p] if words else ""
             for size in range(1, left + 1):
-                for word, height in _pool(size, min(h, budget - 1 - size)):
+                for word, height in zip(*_pool(size, min(h, budget - 1 - size))):
                     now = tall + (height == h)
                     if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
                         step = p if word == back else len(words) + 1

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,8 @@ from plane_forest import (
     rotation_system,
     validate_flow_graph,
 )
-from plane_forest.canonical import _least_rotation, _rooted_codes
-from plane_forest.trees import _corner_codes, _factors
+from plane_forest.canonical import _least_bicentral, _least_rotation, _rooted_codes
+from plane_forest.trees import _corner_codes, _factors, _height_of
 
 import helpers
 from helpers import _strip_centers, random_tree, tree_strategy
@@ -242,6 +244,56 @@ class TestAgainstReferences:
                 words = _factors(code)
                 for mode in (ORIENTED, MIRROR):
                     assert _least_rotation(words, mode) == helpers._least_rotation(words, mode)
+
+
+def _half(rng, vertices, height, slot):
+    # a random rooted tree's code made exactly this tall: its taller root
+    # branches dropped, and a path of this height hung from its root,
+    # first (slot 0), last (slot -1) or anywhere (slot None)
+    words = [w for w in _factors(encode(random_tree(rng, vertices))) if _height_of(w) <= height]
+    at = {0: 0, -1: len(words), None: rng.randint(0, len(words))}[slot]
+    return "".join(words[:at] + ["(" * height + ")" * height] + words[at:])
+
+
+class TestBicentralRule:
+    # the opening-run rule against the least code over both ends
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_every_pair_of_halves_up_to_seven_edges(self, mode):
+        by_height = collections.defaultdict(list)
+        for edges in range(0, 8):
+            for code in iter_dyck_codes(edges):
+                by_height[_height_of(code)].append(code)
+        for height, halves in by_height.items():
+            for a in halves:
+                for b in halves:
+                    assert _least_bicentral(a, b, height, mode) == helpers._least_bicentral(a, b, mode)
+
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from(["run", "close", "fallback", "any"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200)
+    def test_random_halves(self, height, m, n, case, rng):
+        # "run" makes a open with `height` '(', "close" makes it end with
+        # `height` ')', and "fallback" wraps both halves in leaves, so that
+        # no rotation opens with `height` + 1 '(' at either end
+        a = _half(rng, m, height, {"run": 0, "close": -1}.get(case))
+        b = _half(rng, n, height, None)
+        if case == "fallback":
+            a, b = "()" + a + "()", "()" + b + "()"
+        run, close = "(" * height, ")" * height
+        assert {
+            "run": a.startswith(run),
+            "close": a.endswith(close),
+            "fallback": not any(x.startswith(run) or x.endswith(close) for x in (a, b)),
+            "any": True,
+        }[case]
+        for mode in (ORIENTED, MIRROR):
+            for x, y in (a, b), (b, a):
+                assert _least_bicentral(x, y, height, mode) == helpers._least_bicentral(x, y, mode)
 
 
 # a 5,000-vertex path rooted at an end and a 5,000-leaf star rooted at its

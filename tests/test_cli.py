@@ -1,5 +1,6 @@
 import ast
 import copy
+import errno
 import hashlib
 import json
 import os
@@ -193,6 +194,17 @@ class TestEnumerate:
         assert code == 1 and "cap" in err
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # no stray temp files either
+
+    def test_out_errors_name_the_given_path(self, capsys, tmp_path):
+        # a missing directory and a directory as the target: the one-line
+        # error names the path given, never the hidden temp file
+        missing, folder = tmp_path / "missing" / "x.txt", tmp_path / "folder"
+        folder.mkdir()
+        for target, number in (missing, errno.ENOENT), (folder, errno.EISDIR):
+            code, out, err = run(capsys, "enumerate", "--vertices", "5", "--out", str(target))
+            assert (code, out) == (1, "")
+            assert err == f"error: [Errno {number}] {os.strerror(number)}: '{target}'\n"
+        assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
 
     @pytest.mark.parametrize("fmt", ["codes", "catalog", "json"])
     @pytest.mark.parametrize("env_cap, edges", [(None, "17"), ("2", "3")])

@@ -25,8 +25,9 @@ from plane_forest import (
     reconcile_counts,
 )
 from plane_forest import enumeration
-from plane_forest.trees import _factors
+from plane_forest.trees import _factors, _height_of
 
+import helpers
 from helpers import _necklaces as reference_necklaces
 
 ORIENTED = EquivalenceMode.ORIENTED
@@ -96,13 +97,22 @@ class TestCountPlane:
 
 class TestNecklaceWalk:
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
-    @pytest.mark.parametrize("budget", range(1, 11))
+    @pytest.mark.parametrize("budget", range(1, 13))
     def test_matches_the_reference_walk(self, budget, mode):
-        # the divisor test, the bracelet test and the last-word prune keep
-        # exactly the lists of the least-rotation rule, in its order
+        # the divisor test, the bracelet test, the pool starts and the size
+        # prunes keep exactly the lists of the least-rotation rule, in its order
         for most in sorted({2, budget}):
             walked = list(enumeration._necklaces(budget, most, mode))
-            assert walked == list(reference_necklaces(budget, most, mode))
+            assert [words for _, words in walked] == list(reference_necklaces(budget, most, mode))
+            assert all(_height_of("".join(words)) == h + 1 for h, words in walked)
+
+    def test_bracelet_is_the_least_rotation_rule(self):
+        # on every necklace, the mirror image's rotations alone decide
+        for budget in range(1, 13):
+            for most in sorted({2, budget}):
+                for _, words in enumeration._necklaces(budget, most, ORIENTED):
+                    expected = helpers._least_rotation(words, MIRROR) == "".join(words)
+                    assert enumeration._bracelet(words) == expected
 
 
 class TestOracleRoute:
