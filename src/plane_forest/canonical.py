@@ -44,7 +44,7 @@ from .trees import (
     _MIRROR,
     _corner_codes,
     _factors,
-    _rotation_system_of,
+    _preorder,
     _tree_of,
     decode,
     encode,
@@ -119,7 +119,28 @@ def rotation_system(tree: RootedPlaneTree) -> list[list[int]]:
     their stored order; for the root the cyclic order is just the child
     order read cyclically.
     """
-    return _rotation_system_of(encode(tree))
+    parents, _, _ = _preorder(encode(tree))
+    # a vertex's children follow it in preorder, so its parent comes first
+    adj = [[]] + [[parent] for parent in parents[1:]]
+    for vid in range(1, len(parents)):
+        adj[parents[vid]].append(vid)
+    return adj
+
+
+def _check_mode(mode: EquivalenceMode) -> None:
+    # a mode given as a string such as "mirror" equals no member, so every
+    # `mode is EquivalenceMode.MIRROR` test would quietly read it as ORIENTED
+    if not isinstance(mode, EquivalenceMode):
+        raise ValueError(f"mode must be an EquivalenceMode member, got {mode!r}")
+
+
+def _checked(vertices: int, mode: EquivalenceMode, limit: int | None, cap: int, route: str) -> None:
+    _check_mode(mode)
+    if vertices < 1:
+        raise ValueError(f"vertex count must be positive, got {vertices}")
+    cap = cap if limit is None else limit
+    if vertices > cap:
+        raise LimitExceeded(f"{vertices} vertices exceeds the {route} cap of {cap}")
 
 
 def _center_walk(code: str) -> tuple[list[int], list[int], int, bool]:
@@ -249,6 +270,7 @@ def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
     # the last center walked, the branch words are its children's, in
     # order, then the parent side: the code after the center's subtree and
     # then the code before it, with every walked edge turned round.
+    _check_mode(mode)
     mate, path, radius, bicentral = _center_walk(code)
     start, end = (path[-1] + 1, mate[path[-1]]) if path else (0, len(code))
     words = []
@@ -302,10 +324,6 @@ def rerooting_oracle_canon(
     every vertex and rotation (and the reflection's, in MIRROR mode).
     Rooted anywhere, not at the center, so the strings differ from
     canonical_plane; the induced partition must be identical."""
-    if tree.vertex_count > REROOT_ORACLE_MAX_VERTICES:
-        raise LimitExceeded(
-            f"{tree.vertex_count} vertices exceeds the re-rooting oracle cap "
-            f"of {REROOT_ORACLE_MAX_VERTICES}"
-        )
+    _checked(tree.vertex_count, mode, None, REROOT_ORACLE_MAX_VERTICES, "re-rooting oracle")
     images = [tree, reflect(tree)] if mode is EquivalenceMode.MIRROR else [tree]
     return min(code for t in images for code in _corner_codes(encode(t)))

@@ -9,7 +9,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import stat
 import sys
@@ -19,7 +18,7 @@ from typing import Iterable
 from .enumeration import (
     ORACLE_MAX_VERTICES,
     _catalog,
-    _joined,
+    _rooted_listing,
     count_plane,
     enumerate_plane_center,
     reconcile_counts,
@@ -102,21 +101,13 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     if _rooted_route(args):
-        n = args.edges
-        codes, count = rooted_codes(n), count_rooted(n)  # a cap error comes before any output
-        # json as json.dumps(doc, indent=2, sort_keys=True) + "\n"; no code needs escaping
-        head, sep, foot = {
-            "codes": ("", "\n", "\n"),
-            "catalog": (f"# rooted-trees edges={n} count={count}\n", "\n", "\n"),
-            "json": ('{\n  "codes": [\n    "', '",\n    "',
-                     f'"\n  ],\n  "count": {count},\n  "edges": {n}\n}}\n'),
-        }[args.format]
-        _emit(itertools.chain([head], _joined(codes, sep), [foot]), args.out)
-        return 0
-
-    mode = EquivalenceMode(args.mode)
-    classes = enumerate_plane_center(args.vertices, mode, limit=args.max_vertices)
-    _emit(_catalog(args.vertices, mode, classes, args.format), args.out)
+        codes = rooted_codes(args.edges)  # a cap error comes before any output
+        lines = _rooted_listing(args.edges, codes, args.format)
+    else:
+        mode = EquivalenceMode(args.mode)
+        classes = enumerate_plane_center(args.vertices, mode, limit=args.max_vertices)
+        lines = _catalog(args.vertices, mode, classes, args.format)
+    _emit(lines, args.out)
     return 0
 
 

@@ -38,8 +38,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from .canonical import Centrality, PlaneTree, _least_bicentral, _plane_tree_of
-from .errors import LimitExceeded
+from .canonical import Centrality, PlaneTree, _check_mode, _checked, _least_bicentral, _plane_tree_of
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
@@ -166,14 +165,6 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
                     stack.append((words + [word], step, spare, tall + (height == h)))
 
 
-def _checked(vertices: int, limit: int | None, cap: int, route: str) -> None:
-    if vertices < 1:
-        raise ValueError(f"vertex count must be positive, got {vertices}")
-    cap = cap if limit is None else limit
-    if vertices > cap:
-        raise LimitExceeded(f"{vertices} vertices exceeds the {route} cap of {cap}")
-
-
 def enumerate_plane_center(
     vertices: int,
     mode: EquivalenceMode = EquivalenceMode.ORIENTED,
@@ -186,7 +177,7 @@ def enumerate_plane_center(
     Raises LimitExceeded above the cap (default 12) and ValueError for a
     non-positive vertex count.
     """
-    _checked(vertices, limit, DEFAULT_MAX_VERTICES, "enumeration")
+    _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
     if vertices <= 2:
         # the single vertex and the single edge have nothing to glue
         return [_plane_tree_of("()" * (vertices - 1), mode)]
@@ -211,7 +202,7 @@ def enumerate_plane_oracle(
 ) -> list[PlaneTree]:
     """Brute-force route: canonicalize all Catalan(vertices-1) rooted trees
     and dedup. Verification-grade, capped at 10 vertices by default."""
-    _checked(vertices, limit, ORACLE_MAX_VERTICES, "oracle")
+    _checked(vertices, mode, limit, ORACLE_MAX_VERTICES, "oracle")
     classes = {_plane_tree_of(code, mode) for code in iter_dyck_codes(vertices - 1)}
     return sorted(classes, key=PlaneTree.serialize)
 
@@ -224,7 +215,7 @@ def count_plane(
 ) -> int:
     """Number of plane-tree classes with the given vertex count: the gluing
     walk's unicentral lists and bicentral pairs, with no class built."""
-    _checked(vertices, limit, DEFAULT_MAX_VERTICES, "enumeration")
+    _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
     if vertices <= 2:
         return 1
     walks = _necklaces(vertices - 1, vertices - 1, mode), _necklaces(vertices, 2, mode)
@@ -296,21 +287,32 @@ def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
         lead = sep
 
 
-def _catalog(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree], fmt: str) -> Iterator[str]:
-    # a catalog in one of the CLI formats ("codes", "catalog" or "json"), a
-    # chunk of classes at a time; the json is json.dumps(doc, indent=2,
-    # sort_keys=True) + "\n", since no code needs escaping
-    n = len(classes)
+def _listing(codes: Iterable[str], count: int, header: str, fields: str, fmt: str) -> Iterator[str]:
+    # `count` codes in one of the CLI formats, a chunk at a time: "codes"
+    # one a line, "catalog" the same under "# <header> count=<count>", and
+    # "json" as json.dumps(doc, indent=2, sort_keys=True) + "\n", `fields`
+    # being the json text of the keys after "count"; no code needs escaping
     head, start, sep, end, tail = {
         "codes": ("", "", "\n", "\n", ""),
-        "catalog": (f"# plane-trees v={vertices} mode={mode.value} count={n}\n", "", "\n", "\n", ""),
+        "catalog": (f"# {header} count={count}\n", "", "\n", "\n", ""),
         "json": ('{\n  "codes": [', '\n    "', '",\n    "', '"\n  ',
-                 f'],\n  "count": {n},\n  "mode": "{mode.value}",\n  "vertices": {vertices}\n}}\n'),
+                 f'],\n  "count": {count},\n  {fields}\n}}\n'),
     }[fmt]
     yield head
-    if classes:  # nothing between head and tail: json.dumps writes an empty list as []
-        yield from chain([start], _joined(map(PlaneTree.serialize, classes), sep), [end])
+    if count:  # nothing between head and tail: json.dumps writes an empty list as []
+        yield from chain([start], _joined(codes, sep), [end])
     yield tail
+
+
+def _rooted_listing(edges: int, codes: Iterable[str], fmt: str) -> Iterator[str]:
+    return _listing(codes, count_rooted(edges), f"rooted-trees edges={edges}", f'"edges": {edges}', fmt)
+
+
+def _catalog(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree], fmt: str) -> Iterator[str]:
+    _check_mode(mode)
+    header = f"plane-trees v={vertices} mode={mode.value}"
+    fields = f'"mode": "{mode.value}",\n  "vertices": {vertices}'
+    return _listing(map(PlaneTree.serialize, classes), len(classes), header, fields, fmt)
 
 
 def catalog_text(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:

@@ -2,7 +2,8 @@
 
 Layout quality is not a goal; embedding-order fidelity and byte-stable
 output are. Accepts either a bare parenthesis code or a serialized
-catalog line (`U:<code>` / `B:<code>`).
+catalog line (`U:<code>` / `B:<code>`). All renderings read the one
+preorder scan of a code, `trees._preorder`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .trees import RootedPlaneTree, decode, encode
+from .trees import RootedPlaneTree, _preorder, decode, encode
 
 FORMATS = ("dot", "svg", "ascii")
 LAYOUTS = ("layered", "radial")
@@ -23,10 +24,13 @@ class RenderSpec:
     code: str
 
     def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
+        _check_choice("format", self.format, FORMATS)
+        _check_choice("layout", self.layout, LAYOUTS)
+
+
+def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def parse_code_argument(text: str) -> RootedPlaneTree:
@@ -45,32 +49,15 @@ def render(spec: RenderSpec) -> str:
     return render_svg(tree, layout=spec.layout)
 
 
-def _preorder(tree: RootedPlaneTree) -> tuple[list[int], list[int], list[int]]:
-    # parent id (-1 for the root), depth and subtree vertex count of every
-    # vertex, numbered in preorder, from one scan of the code
-    parents, depths, sizes = [-1], [0], [1]
-    path = [0]
-    for ch in encode(tree):
-        if ch == "(":
-            parents.append(path[-1])
-            depths.append(len(path))
-            sizes.append(1)
-            path.append(len(sizes) - 1)
-        else:
-            vid = path.pop()
-            sizes[path[-1]] += sizes[vid]
-    return parents, depths, sizes
-
-
 def render_ascii(tree: RootedPlaneTree) -> str:
     """Indented outline, one vertex per line, children in stored order."""
-    _, depths, _ = _preorder(tree)
+    _, depths, _ = _preorder(encode(tree))
     return "".join("  " * depth + "o\n" for depth in depths)
 
 
 def render_dot(tree: RootedPlaneTree) -> str:
     """Graphviz digraph; `ordering=out` keeps children in embedding order."""
-    parents, _, _ = _preorder(tree)
+    parents, _, _ = _preorder(encode(tree))
     lines = ["digraph plane_tree {", "  graph [ordering=out];", "  node [shape=circle];"]
     lines.extend(f'  n{vid} [label="{vid}"];' for vid in range(len(parents)))
     lines.extend(f"  n{parents[vid]} -> n{vid};" for vid in range(1, len(parents)))
@@ -80,7 +67,7 @@ def render_dot(tree: RootedPlaneTree) -> str:
 
 def _radial_positions(
     parents: list[int], depths: list[int], sizes: list[int]
-) -> list[tuple[float, float]]:
+) -> tuple[list[float], list[float]]:
     # children take angular wedges proportional to subtree size, preserving
     # their cyclic order around every vertex
     step = 60.0
@@ -95,43 +82,42 @@ def _radial_positions(
         wedges.append((start, start + span))
         cursor[parent] = start + span
         cursor.append(start)
-    positions = []
+    xs, ys = [], []
     for (lo, hi), depth in zip(wedges, depths):
         mid = (lo + hi) / 2.0
         r = step * depth
-        positions.append((r * math.cos(mid), r * math.sin(mid)))
-    return positions
+        xs.append(r * math.cos(mid))
+        ys.append(r * math.sin(mid))
+    return xs, ys
 
 
 def _layered_positions(
     parents: list[int], depths: list[int], sizes: list[int]
-) -> list[tuple[float, float]]:
+) -> tuple[list[float], list[float]]:
     # leaves get successive columns; inner vertices sit over their children
     n = len(parents)
     xs = [0.0] * n
     column = 0
-    last_child = list(range(n))
     for vid in range(n):
         if sizes[vid] == 1:
             xs[vid] = float(column)
             column += 1
-        if vid:
-            last_child[parents[vid]] = vid
+    # each vertex's last child: a later child overwrites an earlier one
+    last_child = {parent: vid for vid, parent in enumerate(parents)}
     for vid in range(n - 1, -1, -1):
         if sizes[vid] > 1:
             # the first child follows its parent in preorder
             xs[vid] = (xs[vid + 1] + xs[last_child[vid]]) / 2.0
-    return [(60.0 * x, 60.0 * depth) for x, depth in zip(xs, depths)]
+    return [60.0 * x for x in xs], [60.0 * depth for depth in depths]
 
 
 def render_svg(tree: RootedPlaneTree, layout: str = "radial") -> str:
     """Standalone svg document, one circle per vertex and one line per edge."""
-    parents, depths, sizes = _preorder(tree)
+    _check_choice("layout", layout, LAYOUTS)
+    parents, depths, sizes = _preorder(encode(tree))
     place = _radial_positions if layout == "radial" else _layered_positions
-    points = place(parents, depths, sizes)
+    xs, ys = place(parents, depths, sizes)
     pad = 20.0
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
     min_x, min_y = min(xs) - pad, min(ys) - pad
     width = max(xs) - min_x + pad
     height = max(ys) - min_y + pad

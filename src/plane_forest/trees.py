@@ -4,7 +4,8 @@ A rooted plane tree is an ordered tree: the children of every vertex carry
 a linear (left-to-right) order. Trees with n edges are in bijection with
 balanced parenthesis strings of length 2n, one matched pair per edge, and
 that string is the storage, hashing and ordering format used everywhere in
-this package.
+this package. `_preorder` is the one preorder scan of a code, read by
+`render` and `canonical.rotation_system`.
 """
 
 from __future__ import annotations
@@ -143,20 +144,21 @@ def _factors(code: str) -> list[str]:
     return factors
 
 
-def _rotation_system_of(code: str) -> list[list[int]]:
-    # rotation system of the tree of a balanced code in one scan: vertices
-    # in preorder, each non-root vertex's parent first, then its children
-    adj: list[list[int]] = [[]]
+def _preorder(code: str) -> tuple[list[int], list[int], list[int]]:
+    # parent id (-1 for the root), depth and subtree vertex count of every
+    # vertex of a balanced code's tree, numbered in preorder, in one scan
+    parents, depths, sizes = [-1], [0], [1]
     path = [0]
     for ch in code:
         if ch == "(":
-            child = len(adj)
-            adj[path[-1]].append(child)
-            adj.append([path[-1]])
-            path.append(child)
+            parents.append(path[-1])
+            depths.append(len(path))
+            sizes.append(1)
+            path.append(len(sizes) - 1)
         else:
-            path.pop()
-    return adj
+            vid = path.pop()
+            sizes[path[-1]] += sizes[vid]
+    return parents, depths, sizes
 
 
 def _corner_codes(code: str) -> Iterator[str]:

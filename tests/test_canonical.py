@@ -1,4 +1,5 @@
 import collections
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,16 @@ from plane_forest import (
     MalformedCode,
     PlaneTree,
     canonical_plane,
+    catalog_json,
+    catalog_text,
     center,
+    count_flows,
+    count_plane,
     decode,
     encode,
+    enumerate_flows,
     enumerate_plane_center,
+    enumerate_plane_oracle,
     enumerate_rooted,
     is_isomorphic,
     iter_dyck_codes,
@@ -219,6 +226,38 @@ class TestCenterDefinition:
     def test_center_on_random_trees(self, vertices, rng):
         tree = random_tree(rng, vertices)
         assert center(tree) == centers_by_leaf_stripping(tree)
+
+
+def preorder_of(adj):
+    # vertex ids in the order a walk from vertex 0 meets them, each
+    # vertex's neighbors after its parent taken in list order
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(adj[v][1:] if v else adj[v]))
+    return order
+
+
+class TestRotationSystem:
+    # the full output: the code read back from vertex 0, each non-root
+    # vertex's parent (its one smaller neighbor) first, and ids in preorder
+    def check(self, tree):
+        adj = rotation_system(tree)
+        assert "".join(_rooted_codes(adj, 0)) == encode(tree)
+        for v in range(1, len(adj)):
+            assert adj[v][0] < v and all(u > v for u in adj[v][1:])
+        assert preorder_of(adj) == list(range(tree.vertex_count))
+
+    def test_every_tree_up_to_eight_edges(self):
+        for edges in range(0, 9):
+            for tree in enumerate_rooted(edges):
+                self.check(tree)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trees(self, seed):
+        rng = random.Random(seed)
+        self.check(random_tree(rng, rng.randint(50, 400)))
 
 
 class TestAgainstReferences:
@@ -470,3 +509,34 @@ class TestSerialization:
     def test_equality_includes_mode(self):
         tree = decode("(())")
         assert canonical_plane(tree, ORIENTED) != canonical_plane(tree, MIRROR)
+
+
+# one call per public function that takes a mode, both catalog-writer
+# paths and the small sizes that skip the gluing walk included
+MODE_CALLS = {
+    "canonical_plane": lambda mode: canonical_plane(decode(CHIRAL_CODE), mode),
+    "is_isomorphic": lambda mode: is_isomorphic(decode(CHIRAL_CODE), reflect(decode(CHIRAL_CODE)), mode),
+    "rerooting_oracle_canon": lambda mode: rerooting_oracle_canon(decode(CHIRAL_CODE), mode),
+    "PlaneTree.parse": lambda mode: PlaneTree.parse("U:()()", mode),
+    "enumerate_plane_center": lambda mode: enumerate_plane_center(7, mode),
+    "enumerate_plane_center-1": lambda mode: enumerate_plane_center(1, mode),
+    "enumerate_plane_oracle": lambda mode: enumerate_plane_oracle(7, mode),
+    "count_plane": lambda mode: count_plane(7, mode),
+    "count_plane-2": lambda mode: count_plane(2, mode),
+    "count_flows": lambda mode: count_flows(6, mode),
+    "enumerate_flows": lambda mode: enumerate_flows(6, mode),
+    "validate_flow_graph": lambda mode: validate_flow_graph(3, [(0, 1), (1, 2)], None, mode),
+    "catalog_text": lambda mode: catalog_text(3, mode, []),
+    "catalog_json": lambda mode: catalog_json(3, mode, enumerate_plane_center(3, ORIENTED)),
+}
+
+
+class TestModeArgument:
+    # a mode given as its string value is refused, not read as ORIENTED
+    @pytest.mark.parametrize("name", MODE_CALLS)
+    @pytest.mark.parametrize("mode", ["mirror", "oriented", None])
+    def test_rejects_a_mode_that_is_no_member(self, name, mode):
+        with pytest.raises(ValueError, match="EquivalenceMode"):
+            MODE_CALLS[name](mode)
+        for member in EquivalenceMode:
+            MODE_CALLS[name](member)

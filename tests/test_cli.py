@@ -20,6 +20,7 @@ from plane_forest import (
     CenterResult,
     EquivalenceMode,
     PlaneTree,
+    RenderSpec,
     canonical_plane,
     center,
     count_rooted,
@@ -27,6 +28,7 @@ from plane_forest import (
     encode,
     iter_dyck_codes,
     reflect,
+    render_svg,
     rotation_system,
     validate_flow_graph,
 )
@@ -356,6 +358,13 @@ class TestRender:
 
     def test_bad_format(self, capsys):
         assert run(capsys, "render", "--code", "()", "--format", "png")[0] == 1
+
+    def test_svg_rejects_an_unknown_layout(self):
+        with pytest.raises(ValueError) as svg_error:
+            render_svg(decode("(())"), layout="foo")
+        with pytest.raises(ValueError) as spec_error:
+            RenderSpec(format="svg", layout="foo", code="(())")
+        assert str(svg_error.value) == str(spec_error.value)
 
     @pytest.mark.parametrize(
         "code,digest",
