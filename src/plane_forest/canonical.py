@@ -32,18 +32,19 @@ at any corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate
-from typing import Iterator
 
 from .errors import LimitExceeded, MalformedCode
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
+    _Frozen,
     _MIRROR,
     _corner_codes,
     _factors,
+    _height_of,
     _preorder,
     _tree_of,
     decode,
@@ -60,29 +61,35 @@ class Centrality(Enum):
     BICENTRAL = "B"
 
 
-@dataclass(frozen=True)
-class CenterResult:
+class CenterResult(_Frozen):
     """Center vertex id(s) within a rooted representative, plus the radius.
 
     Vertex ids are preorder indices of the rooted tree handed to
     :func:`center` (the root is 0). Two centers are always adjacent.
     """
 
-    centers: tuple[int, ...]
-    radius: int
+    _fields = ("centers", "radius")
+
+    def __init__(self, centers: tuple[int, ...], radius: int) -> None:
+        self.__dict__.update(centers=centers, radius=radius, _key=(centers, radius))
 
 
-@dataclass(frozen=True)
-class PlaneTree:
+class PlaneTree(_Frozen):
     """Canonical representative of an embedded tree up to plane isomorphism.
 
     Equality is componentwise on (canon, mode, centrality); the serialized
     form `U:<code>` / `B:<code>` is the dedup key used by every catalog.
+    Construction checks the enum members and the balance of the code.
     """
 
-    canon: str
-    mode: EquivalenceMode
-    centrality: Centrality
+    _fields = ("canon", "mode", "centrality")
+
+    def __init__(self, canon: str, mode: EquivalenceMode, centrality: Centrality) -> None:
+        _check_mode(mode)
+        if not isinstance(centrality, Centrality):
+            raise ValueError(f"centrality must be a Centrality member, got {centrality!r}")
+        _height_of(canon)  # raises MalformedCode on bad input
+        self.__dict__.update(canon=canon, mode=mode, centrality=centrality, _key=(canon, mode, centrality))
 
     @property
     def edge_count(self) -> int:
@@ -110,6 +117,13 @@ class PlaneTree:
         if code != form.canon:
             raise MalformedCode(f"{code!r} is not the canonical {mode.value} code of its tree")
         return form
+
+
+def _plane_tree(canon: str, mode: EquivalenceMode, centrality: Centrality) -> PlaneTree:
+    # a PlaneTree from fields known to be sound, without checking them again
+    tree = object.__new__(PlaneTree)
+    tree.__dict__.update(canon=canon, mode=mode, centrality=centrality, _key=(canon, mode, centrality))
+    return tree
 
 
 def rotation_system(tree: RootedPlaneTree) -> list[list[int]]:
@@ -286,8 +300,8 @@ def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
     if bicentral:
         # the halves: the second center's children, and the parent side
         canon = _least_bicentral(code[start:end], words[-1][1:-1], radius - 1, mode)
-        return PlaneTree(canon, mode, Centrality.BICENTRAL)
-    return PlaneTree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
+        return _plane_tree(canon, mode, Centrality.BICENTRAL)
+    return _plane_tree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
 
 
 def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:

@@ -13,11 +13,12 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Iterable
+from collections.abc import Iterable
 
 from .enumeration import (
     ORACLE_MAX_VERTICES,
     _catalog,
+    _center_codes,
     _rooted_listing,
     count_plane,
     enumerate_plane_center,
@@ -82,9 +83,10 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
 
 
 def _rooted_route(args: argparse.Namespace) -> bool:
-    # --edges selects the rooted trees, which --max-vertices does not cap
-    if args.edges is not None and args.max_vertices is not None:
-        raise ValueError("--max-vertices caps plane trees by vertices, not --edges")
+    # --edges selects the rooted trees, which --max-vertices does not cap nor --mode compare
+    for given, option in (args.max_vertices, "--max-vertices"), (args.mode, "--mode"):
+        if args.edges is not None and given is not None:
+            raise ValueError(f"{option} applies to plane trees by vertices, not --edges")
     return args.edges is not None
 
 
@@ -94,7 +96,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             raise LimitExceeded(f"{args.edges} edges exceeds the count cap of {_COUNT_MAX_EDGES}")
         value = count_rooted(args.edges)
     else:
-        value = count_plane(args.vertices, EquivalenceMode(args.mode), limit=args.max_vertices)
+        value = count_plane(args.vertices, EquivalenceMode(args.mode or "oriented"), limit=args.max_vertices)
     print(value)
     return 0
 
@@ -104,15 +106,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         codes = rooted_codes(args.edges)  # a cap error comes before any output
         lines = _rooted_listing(args.edges, codes, args.format)
     else:
-        mode = EquivalenceMode(args.mode)
-        classes = enumerate_plane_center(args.vertices, mode, limit=args.max_vertices)
+        mode = EquivalenceMode(args.mode or "oriented")
+        groups = _center_codes(args.vertices, mode, args.max_vertices)
+        classes = [line for kind, codes in groups for line in map(f"{kind.value}:".__add__, codes)]
         lines = _catalog(args.vertices, mode, classes, args.format)
     _emit(lines, args.out)
     return 0
 
 
 def cmd_flows(args: argparse.Namespace) -> int:
-    mode = EquivalenceMode(args.mode)
+    mode = EquivalenceMode(args.mode or "oriented")
     if args.list:  # the count line is the length of the list: one enumeration
         flows = enumerate_flows(args.saddles, mode, limit=args.max_vertices)
         lines = [f"{len(flows)}\n", *(flow_record(flow) + "\n" for flow in flows)]
@@ -182,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--mode",
             choices=[m.value for m in EquivalenceMode],
-            default=EquivalenceMode.ORIENTED.value,
+            default=None,
             help="plane isomorphism flavor (default: oriented)",
         )
 

@@ -33,15 +33,15 @@ byte-for-byte, which is the strongest consistency check in the package.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
 
-from .canonical import Centrality, PlaneTree, _check_mode, _checked, _least_bicentral, _plane_tree_of
+from .canonical import Centrality, PlaneTree, _check_mode, _checked, _least_bicentral, _plane_tree, _plane_tree_of
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
+    _Frozen,
     _MIRROR,
     _dyck_codes,
     _height_of,
@@ -61,8 +61,7 @@ ORACLE_MAX_VERTICES = 10
 _CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class CenterGluingSpec:
+class CenterGluingSpec(_Frozen):
     """A recipe for one glued tree: branches around a center vertex
     (UNICENTRAL, k >= 2 parts) or two halves joined by an edge (BICENTRAL).
 
@@ -70,26 +69,25 @@ class CenterGluingSpec:
     glued vertex (or edge) the center of the assembled tree.
     """
 
-    kind: Centrality
-    parts: tuple[RootedPlaneTree, ...]
-    target_vertices: int
+    _fields = ("kind", "parts", "target_vertices")
 
-    def __post_init__(self) -> None:
-        heights = [p.height for p in self.parts]
-        if self.kind is Centrality.UNICENTRAL:
-            if len(self.parts) < 2:
+    def __init__(self, kind: Centrality, parts: tuple[RootedPlaneTree, ...], target_vertices: int) -> None:
+        heights = [p.height for p in parts]
+        if kind is Centrality.UNICENTRAL:
+            if len(parts) < 2:
                 raise ValueError("a unicentral gluing needs at least two branches")
-            if sum(p.vertex_count for p in self.parts) != self.target_vertices - 1:
+            if sum(p.vertex_count for p in parts) != target_vertices - 1:
                 raise ValueError("branch vertex counts must sum to target_vertices - 1")
             if heights.count(max(heights)) < 2:
                 raise ValueError("at least two branches must attain the maximum height")
         else:
-            if len(self.parts) != 2:
+            if len(parts) != 2:
                 raise ValueError("a bicentral gluing needs exactly two halves")
-            if sum(p.vertex_count for p in self.parts) != self.target_vertices:
+            if sum(p.vertex_count for p in parts) != target_vertices:
                 raise ValueError("half vertex counts must sum to target_vertices")
             if heights[0] != heights[1]:
                 raise ValueError("the two halves must have equal height")
+        self.__dict__.update(kind=kind, parts=parts, target_vertices=target_vertices, _key=(kind, parts, target_vertices))
 
 
 def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
@@ -165,6 +163,22 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
                     stack.append((words + [word], step, spare, tall + (height == h)))
 
 
+def _center_codes(vertices: int, mode: EquivalenceMode, limit: int | None) -> list[tuple[Centrality, list[str]]]:
+    # the sorted canonical codes of the classes, bicentral first (serialized,
+    # "B:" sorts before "U:"), with no class built
+    _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
+    if vertices <= 2:
+        # the single vertex is its own center, and the single edge has two
+        return [(Centrality.BICENTRAL, ["()"]) if vertices == 2 else (Centrality.UNICENTRAL, [""])]
+    unicentral = ("".join(words) for _, words in _necklaces(vertices - 1, vertices - 1, mode))
+    # two-branch necklaces one vertex larger are the bicentral half pairs
+    bicentral = (_least_bicentral(a[1:-1], b[1:-1], h, mode) for h, (a, b) in _necklaces(vertices, 2, mode))
+    groups = [(Centrality.BICENTRAL, sorted(bicentral)), (Centrality.UNICENTRAL, sorted(unicentral))]
+    # one necklace test per class must leave no duplicate
+    assert all(x != y for _, codes in groups for x, y in zip(codes, codes[1:])), "gluing emitted a duplicate"
+    return groups
+
+
 def enumerate_plane_center(
     vertices: int,
     mode: EquivalenceMode = EquivalenceMode.ORIENTED,
@@ -177,21 +191,7 @@ def enumerate_plane_center(
     Raises LimitExceeded above the cap (default 12) and ValueError for a
     non-positive vertex count.
     """
-    _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
-    if vertices <= 2:
-        # the single vertex and the single edge have nothing to glue
-        return [_plane_tree_of("()" * (vertices - 1), mode)]
-
-    unicentral = ("".join(words) for _, words in _necklaces(vertices - 1, vertices - 1, mode))
-    # two-branch necklaces one vertex larger are the bicentral half pairs
-    bicentral = (_least_bicentral(a[1:-1], b[1:-1], h, mode) for h, (a, b) in _necklaces(vertices, 2, mode))
-    results: list[PlaneTree] = []
-    # serialized, "B:" sorts before "U:"
-    for kind, codes in (Centrality.BICENTRAL, sorted(bicentral)), (Centrality.UNICENTRAL, sorted(unicentral)):
-        # one necklace test per class must leave no duplicate
-        assert all(x != y for x, y in zip(codes, codes[1:])), "gluing emitted a duplicate"
-        results += [PlaneTree(code, mode, kind) for code in codes]
-    return results
+    return [_plane_tree(code, mode, kind) for kind, codes in _center_codes(vertices, mode, limit) for code in codes]
 
 
 def enumerate_plane_oracle(
@@ -230,22 +230,25 @@ CLAIMED_PLANE = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 14, 8: 26}
 CLAIMED_FLOWS = {1: 1, 2: 1, 3: 2, 4: 3, 5: 6, 6: 14, 7: 26}
 
 
-@dataclass(frozen=True)
-class ReconcileRow:
-    kind: str  # "rooted" (by edges), "plane" (by vertices), "flows" (by saddles)
-    parameter: int
-    claimed: int
-    computed_oriented: int
-    computed_mirror: int
+class ReconcileRow(_Frozen):
+    # kind: "rooted" (by edges), "plane" (by vertices), "flows" (by saddles)
+    _fields = ("kind", "parameter", "claimed", "computed_oriented", "computed_mirror")
+
+    def __init__(self, kind: str, parameter: int, claimed: int, computed_oriented: int, computed_mirror: int) -> None:
+        key = kind, parameter, claimed, computed_oriented, computed_mirror
+        self.__dict__.update(kind=kind, parameter=parameter, claimed=claimed, computed_oriented=computed_oriented,
+                             computed_mirror=computed_mirror, _key=key)
 
     @property
     def matches(self) -> bool:
         return self.claimed in (self.computed_oriented, self.computed_mirror)
 
 
-@dataclass(frozen=True)
-class ReconcileReport:
-    rows: tuple[ReconcileRow, ...]
+class ReconcileReport(_Frozen):
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[ReconcileRow, ...]) -> None:
+        self.__dict__.update(rows=rows, _key=(rows,))
 
     @property
     def mismatches(self) -> tuple[ReconcileRow, ...]:
@@ -308,18 +311,19 @@ def _rooted_listing(edges: int, codes: Iterable[str], fmt: str) -> Iterator[str]
     return _listing(codes, count_rooted(edges), f"rooted-trees edges={edges}", f'"edges": {edges}', fmt)
 
 
-def _catalog(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree], fmt: str) -> Iterator[str]:
+def _catalog(vertices: int, mode: EquivalenceMode, lines: Sequence[str], fmt: str) -> Iterator[str]:
+    # the catalog of the serialized classes `lines`
     _check_mode(mode)
     header = f"plane-trees v={vertices} mode={mode.value}"
     fields = f'"mode": "{mode.value}",\n  "vertices": {vertices}'
-    return _listing(map(PlaneTree.serialize, classes), len(classes), header, fields, fmt)
+    return _listing(lines, len(lines), header, fields, fmt)
 
 
 def catalog_text(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:
     """Plain-text catalog: one header line, then one serialized class per line."""
-    return "".join(_catalog(vertices, mode, classes, "catalog"))
+    return "".join(_catalog(vertices, mode, [c.serialize() for c in classes], "catalog"))
 
 
 def catalog_json(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:
     """Machine-readable catalog with fields vertices, mode, count, codes."""
-    return "".join(_catalog(vertices, mode, classes, "json"))
+    return "".join(_catalog(vertices, mode, [c.serialize() for c in classes], "json"))

@@ -17,48 +17,38 @@ sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .canonical import PlaneTree, _plane_tree_of, _rooted_codes
 from .enumeration import count_plane, enumerate_plane_center
 from .errors import Disconnected, HasCycle
-from .trees import EquivalenceMode
+from .trees import EquivalenceMode, _Frozen
 
 
-@dataclass(frozen=True)
-class MorseFlow:
+class MorseFlow(_Frozen):
     """Invariant data of a one-sink flow: fixed-point counts plus the
     separatrix tree. ORIENTED mode is equivalence under orientation-
     preserving sphere homeomorphisms; MIRROR also allows reversing ones."""
 
-    sources: int
-    saddles: int
-    sinks: int
-    separatrices: PlaneTree
+    _fields = ("sources", "saddles", "sinks", "separatrices")
 
-    def __post_init__(self) -> None:
-        if self.sinks != 1:
-            raise ValueError(f"one-sink flows only, got {self.sinks} sinks")
-        if self.sources - self.saddles + self.sinks != 2:
-            raise ValueError(
-                f"index sum {self.sources} - {self.saddles} + {self.sinks} != 2"
-            )
-        if self.separatrices.vertex_count != self.sources:
+    def __init__(self, sources: int, saddles: int, sinks: int, separatrices: PlaneTree) -> None:
+        if sinks != 1:
+            raise ValueError(f"one-sink flows only, got {sinks} sinks")
+        if sources - saddles + sinks != 2:
+            raise ValueError(f"index sum {sources} - {saddles} + {sinks} != 2")
+        if separatrices.vertex_count != sources:
             raise ValueError("separatrix tree must have one vertex per source")
-        if self.separatrices.edge_count != self.saddles:
+        if separatrices.edge_count != saddles:
             raise ValueError("separatrix tree must have one edge per saddle")
+        key = sources, saddles, sinks, separatrices
+        self.__dict__.update(sources=sources, saddles=saddles, sinks=sinks, separatrices=separatrices, _key=key)
 
 
 def flow_from_tree(tree: PlaneTree) -> MorseFlow:
     """The flow whose separatrix tree is the given class: one source per
     vertex, one saddle per edge, one sink in the single complementary face."""
-    return MorseFlow(
-        sources=tree.vertex_count,
-        saddles=tree.edge_count,
-        sinks=1,
-        separatrices=tree,
-    )
+    return MorseFlow(tree.vertex_count, tree.edge_count, 1, tree)
 
 
 def validate_flow_graph(

@@ -9,23 +9,20 @@ preorder scan of a code, `trees._preorder`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .trees import RootedPlaneTree, _preorder, decode, encode
+from .trees import RootedPlaneTree, _Frozen, _preorder, decode, encode
 
 FORMATS = ("dot", "svg", "ascii")
 LAYOUTS = ("layered", "radial")
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str
-    layout: str
-    code: str
+class RenderSpec(_Frozen):
+    _fields = ("format", "layout", "code")
 
-    def __post_init__(self) -> None:
-        _check_choice("format", self.format, FORMATS)
-        _check_choice("layout", self.layout, LAYOUTS)
+    def __init__(self, format: str, layout: str, code: str) -> None:
+        _check_choice("format", format, FORMATS)
+        _check_choice("layout", layout, LAYOUTS)
+        self.__dict__.update(format=format, layout=layout, code=code, _key=(format, layout, code))
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:

@@ -5,17 +5,17 @@ a linear (left-to-right) order. Trees with n edges are in bijection with
 balanced parenthesis strings of length 2n, one matched pair per edge, and
 that string is the storage, hashing and ordering format used everywhere in
 this package. `_preorder` is the one preorder scan of a code, read by
-`render` and `canonical.rotation_system`.
+`render` and `canonical.rotation_system`. `_Frozen` is the base of the
+package's immutable value classes.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import LimitExceeded, MalformedCode
 
@@ -38,8 +38,32 @@ class EquivalenceMode(Enum):
     MIRROR = "mirror"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class RootedPlaneTree:
+class _Frozen:
+    """An immutable value over the attributes named in `_fields`, with the
+    equality, hashing, `repr` and `__match_args__` of a frozen dataclass.
+    A subclass's `__init__` stores the fields, and their tuple as `_key`,
+    with one `self.__dict__.update`, which `pickle` and `copy` restore."""
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RootedPlaneTree(_Frozen):
     """An immutable ordered tree, held as its parenthesis code.
 
     `RootedPlaneTree()` is the single-vertex tree and
@@ -48,7 +72,7 @@ class RootedPlaneTree:
     any depth.
     """
 
-    _code: str
+    _fields = ("_code",)
 
     def __init__(self, children: Iterable["RootedPlaneTree"] = ()) -> None:
         object.__setattr__(self, "_code", "".join(["(" + c._code + ")" for c in children]))
@@ -73,6 +97,13 @@ class RootedPlaneTree:
 
     def is_leaf(self) -> bool:
         return not self._code
+
+    # compared by the code alone, with no `_key`: decode and the rooted stream build one store
+    def __eq__(self, other: object) -> bool:
+        return self._code == other._code if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._code,))
 
     def __repr__(self) -> str:
         return f"RootedPlaneTree({self._code!r})"

@@ -588,6 +588,21 @@ class TestContract:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--max-vertices" in err
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("mode", ["mirror", "oriented"])
+    def test_mode_with_edges_is_input_error(self, capsys, command, mode):
+        # rooted trees by edges are not compared up to any plane isomorphism,
+        # so a given --mode, even the default one, would be ignored
+        code, out, err = run(capsys, command, "--edges", "2", "--mode", mode)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--mode" in err
+
+    @pytest.mark.parametrize("argv", [("count", "--vertices", "7"), ("flows", "--saddles", "6")])
+    def test_mode_defaults_to_oriented(self, capsys, argv):
+        # 14 oriented classes on 7 vertices, 12 mirror ones
+        assert run(capsys, *argv) == (0, "14\n", "")
+
     def test_env_cap_reaches_cli(self, capsys, monkeypatch):
         monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")
         code, _, err = run(capsys, "enumerate", "--edges", "3")
