@@ -32,8 +32,9 @@ at any corner.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from enum import Enum
+from functools import partial
 from itertools import accumulate
 
 from .errors import LimitExceeded, MalformedCode
@@ -279,29 +280,34 @@ def _least_bicentral(a: str, b: str, height: int, mode: EquivalenceMode) -> str:
     return min(_least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a)))
 
 
-def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
-    # canonical form of the embedded tree of a balanced code. Re-rooted at
-    # the last center walked, the branch words are its children's, in
-    # order, then the parent side: the code after the center's subtree and
-    # then the code before it, with every walked edge turned round.
-    _check_mode(mode)
+def _center_split(code: str) -> tuple[Centrality, Callable[[EquivalenceMode], str]]:
+    # the mode-free part of a canonical form: the centrality, and the mode
+    # step, a least code over the center's branch words or the two halves.
+    # Re-rooted at the last center walked, the branch words are its
+    # children's, in order, then the parent side: the code after the center's
+    # subtree and then the code before it, with every walked edge turned round.
     mate, path, radius, bicentral = _center_walk(code)
     start, end = (path[-1] + 1, mate[path[-1]]) if path else (0, len(code))
+    chars = list(code)
+    for i in path:
+        chars[i], chars[mate[i]] = ")", "("
+    up = ["".join(chars[end:] + chars[:start])] if path else []
+    if bicentral:
+        # the halves: the second center's children, and the parent side
+        return Centrality.BICENTRAL, partial(_least_bicentral, code[start:end], up[0][1:-1], radius - 1)
     words = []
     i = start
     while i < end:
         words.append(code[i : mate[i] + 1])
         i = mate[i] + 1
-    if path:
-        chars = list(code)
-        for i in path:
-            chars[i], chars[mate[i]] = ")", "("
-        words.append("".join(chars[end:] + chars[:start]))
-    if bicentral:
-        # the halves: the second center's children, and the parent side
-        canon = _least_bicentral(code[start:end], words[-1][1:-1], radius - 1, mode)
-        return _plane_tree(canon, mode, Centrality.BICENTRAL)
-    return _plane_tree(_least_rotation(words, mode), mode, Centrality.UNICENTRAL)
+    return Centrality.UNICENTRAL, partial(_least_rotation, words + up)
+
+
+def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:
+    # canonical form of the embedded tree of a balanced code
+    _check_mode(mode)
+    kind, least = _center_split(code)
+    return _plane_tree(least(mode), mode, kind)
 
 
 def rooted_representatives(tree: RootedPlaneTree) -> Iterator[RootedPlaneTree]:

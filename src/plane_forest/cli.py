@@ -13,7 +13,7 @@ import os
 import stat
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .enumeration import (
     ORACLE_MAX_VERTICES,
@@ -27,8 +27,8 @@ from .enumeration import (
 from .errors import LimitExceeded, PlaneForestError
 from .morse import count_flows, enumerate_flows, flow_record
 from .render import FORMATS, LAYOUTS, RenderSpec, render
-from .trees import EquivalenceMode, count_rooted, enumerate_rooted, rooted_codes
-from .canonical import canonical_plane, rerooting_oracle_canon
+from .trees import EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
+from .canonical import _center_split, rerooting_oracle_canon
 
 
 #: Most edges whose Catalan number prints within Python's default limit of
@@ -129,31 +129,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     top = args.max_vertices if args.max_vertices is not None else 9
     sweep_top = min(top, ORACLE_MAX_VERTICES)
     all_ok = True
-    print("internal consistency (center gluing vs brute-force re-rooting):")
-    for vertices in range(1, sweep_top + 1):
-        cells = []
-        for mode in EquivalenceMode:
-            glued = [p.serialize() for p in enumerate_plane_center(vertices, mode, limit=top)]
-            # one sweep gives the brute-force catalog and the partition check
-            pairs = {
-                (canonical_plane(tree, mode).serialize(), rerooting_oracle_canon(tree, mode))
-                for tree in enumerate_rooted(vertices - 1)
-            }
-            oracle = sorted({fast for fast, _ in pairs})
-            ok = glued == oracle and len(pairs) == len(oracle) == len({slow for _, slow in pairs})
-            all_ok = all_ok and ok
-            cells.append(f"{mode.value}={'ok' if ok else 'FAIL'} (count={len(glued)})")
-        print(f"  v={vertices:>2}: " + "  ".join(cells))
-    if top > sweep_top:
-        print(f"  (oracle comparison capped at v={sweep_top})")
-    print()
-    print("claimed-count audit (mismatches are reported, not failures):")
-    report = reconcile_counts()
-    for line in report.to_text().splitlines():
-        print("  " + line)
-    print()
+
+    def lines() -> Iterator[str]:
+        nonlocal all_ok
+        yield "internal consistency (center gluing vs brute-force re-rooting):\n"
+        for vertices in range(1, sweep_top + 1):
+            # one center split per rooted tree serves both modes' two checks
+            pairs = {mode: set() for mode in EquivalenceMode}
+            for tree in enumerate_rooted(vertices - 1):
+                kind, least = _center_split(encode(tree))
+                for mode, found in pairs.items():
+                    found.add((f"{kind.value}:{least(mode)}", rerooting_oracle_canon(tree, mode)))
+            cells = []
+            for mode, found in pairs.items():
+                glued = [p.serialize() for p in enumerate_plane_center(vertices, mode, limit=top)]
+                oracle = sorted({fast for fast, _ in found})
+                ok = glued == oracle and len(found) == len(oracle) == len({slow for _, slow in found})
+                all_ok = all_ok and ok
+                cells.append(f"{mode.value}={'ok' if ok else 'FAIL'} (count={len(glued)})")
+            yield f"  v={vertices:>2}: " + "  ".join(cells) + "\n"
+        if top > sweep_top:
+            yield f"  (oracle comparison capped at v={sweep_top})\n"
+        yield "\nclaimed-count audit (mismatches are reported, not failures):\n"
+        yield from (f"  {line}\n" for line in reconcile_counts().to_text().splitlines())
+        yield "\n" + ("internal checks: all passed\n" if all_ok else "")
+
+    _emit(lines(), None)
     if all_ok:
-        print("internal checks: all passed")
         return 0
     print("internal checks: FAILED", file=sys.stderr)
     return 2

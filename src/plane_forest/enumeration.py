@@ -37,7 +37,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, islice
 
-from .canonical import Centrality, PlaneTree, _check_mode, _checked, _least_bicentral, _plane_tree, _plane_tree_of
+from .canonical import Centrality, PlaneTree, _center_split, _check_mode, _checked, _least_bicentral, _plane_tree
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
@@ -203,8 +203,9 @@ def enumerate_plane_oracle(
     """Brute-force route: canonicalize all Catalan(vertices-1) rooted trees
     and dedup. Verification-grade, capped at 10 vertices by default."""
     _checked(vertices, mode, limit, ORACLE_MAX_VERTICES, "oracle")
-    classes = {_plane_tree_of(code, mode) for code in iter_dyck_codes(vertices - 1)}
-    return sorted(classes, key=PlaneTree.serialize)
+    # dedup the forms first, so each class is built once
+    forms = {(kind.value, least(mode)) for kind, least in map(_center_split, iter_dyck_codes(vertices - 1))}
+    return [_plane_tree(canon, mode, Centrality(tag)) for tag, canon in sorted(forms)]
 
 
 def count_plane(

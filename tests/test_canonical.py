@@ -32,7 +32,7 @@ from plane_forest import (
     rotation_system,
     validate_flow_graph,
 )
-from plane_forest.canonical import _least_bicentral, _least_rotation, _rooted_codes
+from plane_forest.canonical import _center_split, _least_bicentral, _least_rotation, _rooted_codes
 from plane_forest.trees import _corner_codes, _factors, _height_of
 
 import helpers
@@ -422,6 +422,31 @@ class TestRerootingOracle:
         # all 14 rooted trees with 4 edges fall into 3 plane classes
         keys = {rerooting_oracle_canon(t) for t in enumerate_rooted(4)}
         assert len(keys) == 3
+
+
+class TestCenterSplit:
+    # one mode-free split gives both modes' canonical forms, whichever mode
+    # takes its least code first
+    @staticmethod
+    def check(tree):
+        for modes in (ORIENTED, MIRROR), (MIRROR, ORIENTED):
+            kind, least = _center_split(encode(tree))
+            for mode in modes:
+                assert f"{kind.value}:{least(mode)}" == canonical_plane(tree, mode).serialize()
+
+    def test_every_tree_up_to_nine_edges(self):
+        for edges in range(0, 10):
+            for tree in enumerate_rooted(edges):
+                self.check(tree)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trees(self, seed):
+        rng = random.Random(seed)
+        self.check(random_tree(rng, rng.randint(50, 400)))
+
+    @pytest.mark.parametrize("code", ["()" * 2000, "(" * 2000 + ")" * 2000], ids=["star", "path"])
+    def test_star_and_path(self, code):
+        self.check(decode(code))
 
 
 class TestCornerWalk:

@@ -1,4 +1,5 @@
 import ast
+import collections
 import copy
 import errno
 import hashlib
@@ -32,7 +33,7 @@ from plane_forest import (
     rotation_system,
     validate_flow_graph,
 )
-from plane_forest import enumeration
+from plane_forest import canonical, enumeration
 from plane_forest.cli import main
 
 from helpers import random_tree
@@ -298,6 +299,20 @@ class TestVerify:
         assert out.count("MISMATCH") == 3
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "3d7e3a5876e1c93755115d8aa236037bad7be725ff36d8b23c2c61a83e1b6893"
+
+    def test_sweep_centers_each_tree_once(self, capsys, monkeypatch):
+        # one center scan per rooted tree up to 8 vertices, for both modes,
+        # and no canonical PlaneTree built
+        calls = collections.Counter()
+        for name in ("_center_walk", "_plane_tree_of", "canonical_plane"):
+            def counted(*args, real=getattr(canonical, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(canonical, name, counted)
+        code, out, _ = run(capsys, "verify", "--max-vertices", "8")
+        assert code == 0 and out.endswith("internal checks: all passed\n")
+        assert calls == {"_center_walk": sum(count_rooted(edges) for edges in range(8))} == {"_center_walk": 626}
 
     @pytest.mark.parametrize(
         "oracle",
@@ -608,16 +623,25 @@ class TestContract:
         code, _, err = run(capsys, "enumerate", "--edges", "3")
         assert code == 1 and "cap" in err
 
-    @pytest.mark.parametrize("selector", ["--edges", "--vertices"])
-    def test_reader_closing_stdout_ends_quietly(self, selector):
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [(["enumerate", "--edges", "12"], None), (["enumerate", "--vertices", "12"], None),
+         (["verify", "--max-vertices", "10"], "1")],
+        ids=["--edges", "--vertices", "verify"],
+    )
+    def test_reader_closing_stdout_ends_quietly(self, argv, unbuffered):
         # as `plane-forest enumerate --edges 12 | head -1`: the reader takes
-        # one line and closes the pipe long before the stream ends
+        # one line and closes the pipe long before the stream ends; unbuffered,
+        # each line is its own write, so the next one meets the closed pipe
         source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
         proc = subprocess.Popen(
-            [sys.executable, "-m", "plane_forest.cli", "enumerate", selector, "12"],
+            [sys.executable, "-m", "plane_forest.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": str(source)},
+            env=env,
         )
         first = proc.stdout.readline()
         proc.stdout.close()

@@ -24,7 +24,7 @@ from plane_forest import (
     enumerate_rooted,
     reconcile_counts,
 )
-from plane_forest import enumeration
+from plane_forest import canonical, enumeration
 from plane_forest.trees import _factors, _height_of
 
 import helpers
@@ -134,6 +134,20 @@ class TestOracleRoute:
                 glued = [p.serialize() for p in enumerate_plane_center(vertices, mode)]
                 brute = [p.serialize() for p in enumerate_plane_oracle(vertices, mode)]
                 assert glued == brute
+
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_one_object_per_class(self, monkeypatch, mode):
+        # the serialized forms are deduplicated before any class is built
+        built, real = [], canonical._plane_tree
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr("plane_forest.canonical._plane_tree", counted)
+        monkeypatch.setattr("plane_forest.enumeration._plane_tree", counted)
+        classes = enumerate_plane_oracle(9, mode)
+        assert len(built) == len(classes) == count_plane(9, mode) < count_rooted(8)
 
 
 class TestCenterRoute:
