@@ -97,7 +97,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         value = count_rooted(args.edges)
     else:
         value = count_plane(args.vertices, EquivalenceMode(args.mode or "oriented"), limit=args.max_vertices)
-    print(value)
+    _emit([f"{value}\n"], None)
     return 0
 
 
@@ -142,7 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     found.add((f"{kind.value}:{least(mode)}", rerooting_oracle_canon(tree, mode)))
             cells = []
             for mode, found in pairs.items():
-                glued = [p.serialize() for p in enumerate_plane_center(vertices, mode, limit=top)]
+                glued = [p.serialize() for p in enumerate_plane_center(vertices, mode)]
                 oracle = sorted({fast for fast, _ in found})
                 ok = glued == oracle and len(found) == len(oracle) == len({slow for _, slow in found})
                 all_ok = all_ok and ok

@@ -1,29 +1,29 @@
 """Exhaustive plane-tree enumeration by gluing branches onto a center.
 
-Every tree of the plane with n >= 3 vertices is either unicentral (one
-center vertex whose branches are rooted plane trees, at least two of them
-of maximal height) or bicentral (a central edge joining two rooted halves
-of equal height). A bicentral tree with halves a, b is the two-branch
-tree `(a)(b)` one vertex larger, its center subdividing the central edge.
+Every tree of the plane is either unicentral (one center vertex whose
+branches are rooted plane trees: none, or at least two of maximal
+height) or bicentral (a central edge joining two rooted halves of equal
+height). A bicentral tree with halves a, b is the two-branch tree
+`(a)(b)` one vertex larger, its center subdividing the central edge.
 
 So one walk glues both. Branch words `(b)` are primitive Dyck words, a
 prefix code, so a canonical code rooted at a center is a necklace (in
 MIRROR mode, a bracelet) over the ordered alphabet of branch words: its
 join is its least rotation. An iterative prenecklace walk with letter
-weights and a prune on the vertices left reaches every such word list,
-and examines only the words it pushes: each size's words are in word
-order, so its pool is entered where the words may follow, the sizes stop
-once even a tall word would leave too few vertices, and only tall words
-are walked while only a tall word fits. It tracks p, the length of the
-longest Lyndon prefix, and a prenecklace is a necklace exactly when p
-divides its length: ORIENTED keeps a list on that test alone, and MIRROR
-keeps a necklace that is also no greater than any rotation of its mirror
-image, a bracelet. Exactly one list per class is kept. A kept pair
-`(a)(b)` of height h one vertex larger is the bicentral tree with halves
-a and b, and `canonical._least_bicentral(a, b, h, mode)`, the one
-bicentral rule, which canonical forms use too, names its class, taking a
-least code over both ends of the central edge only when neither half's
-opening run decides it. No glued code is scanned back into a tree.
+weights and a prune on the vertices left reaches every such word list:
+it pushes a word only when it is >= the word p back (FKM's rule), the
+sizes stop once even a tall word would leave too few vertices, and only
+tall words are walked while only a tall word fits. It tracks p, the
+length of the longest Lyndon prefix, and a prenecklace is a necklace
+exactly when p divides its length: ORIENTED keeps a list on that test
+alone, and MIRROR keeps a necklace that is also no greater than any
+rotation of its mirror image, a bracelet. Exactly one list per class is
+kept. A kept pair `(a)(b)` of height h one vertex larger is the
+bicentral tree with halves a and b, and
+`canonical._least_bicentral(a, b, h, mode)`, the one bicentral rule,
+which canonical forms use too, names its class, taking a least code over
+both ends of the central edge only when neither half's opening run
+decides it. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree of the right size and dedups. The two routes must agree
@@ -32,7 +32,6 @@ byte-for-byte, which is the strongest consistency check in the package.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, islice
@@ -138,12 +137,13 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
     # the rotations of their mirror image. Each tall word still missing
     # needs h + 1 vertices: once even a tall word of this size would leave
     # too few, no larger size fits, and while only a tall word fits, only
-    # the tall words are walked. The words of one size are in word order
-    # and are entered at the first that is >= the word p back, so every
-    # word examined is pushed. The last of `most` words takes all the
-    # vertices left.
+    # the tall words are walked. The last of `most` words takes all the
+    # vertices left. Height 0 is walked even for a budget under 2, so the
+    # walk also covers the smallest trees: a budget of 0 yields the empty
+    # list, the single vertex with no branch, and the single edge is the
+    # pair "()" "()" of a budget of 2, its two one-vertex halves.
     mirror = mode is EquivalenceMode.MIRROR
-    for h in range(budget // 2):
+    for h in range(max(budget // 2, 1)):
         stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
         while stack:
             words, p, left, tall = stack.pop()
@@ -157,19 +157,16 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
                 if (1 - tall) * (h + 1) > spare:
                     break
                 pool, heights = (_tall_pool if (2 - tall) * (h + 1) > spare else _pool)(size, h)
-                i = bisect_left(pool, back)
-                for word, height in zip(pool[i:], heights[i:]):
-                    step = p if word == back else len(words) + 1
-                    stack.append((words + [word], step, spare, tall + (height == h)))
+                for word, height in zip(pool, heights):
+                    if word >= back:
+                        step = p if word == back else len(words) + 1
+                        stack.append((words + [word], step, spare, tall + (height == h)))
 
 
 def _center_codes(vertices: int, mode: EquivalenceMode, limit: int | None) -> list[tuple[Centrality, list[str]]]:
     # the sorted canonical codes of the classes, bicentral first (serialized,
     # "B:" sorts before "U:"), with no class built
     _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
-    if vertices <= 2:
-        # the single vertex is its own center, and the single edge has two
-        return [(Centrality.BICENTRAL, ["()"]) if vertices == 2 else (Centrality.UNICENTRAL, [""])]
     unicentral = ("".join(words) for _, words in _necklaces(vertices - 1, vertices - 1, mode))
     # two-branch necklaces one vertex larger are the bicentral half pairs
     bicentral = (_least_bicentral(a[1:-1], b[1:-1], h, mode) for h, (a, b) in _necklaces(vertices, 2, mode))
@@ -217,8 +214,6 @@ def count_plane(
     """Number of plane-tree classes with the given vertex count: the gluing
     walk's unicentral lists and bicentral pairs, with no class built."""
     _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
-    if vertices <= 2:
-        return 1
     walks = _necklaces(vertices - 1, vertices - 1, mode), _necklaces(vertices, 2, mode)
     return sum(1 for walk in walks for _ in walk)
 

@@ -649,3 +649,28 @@ class TestContract:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert first.strip() and err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("count", "--edges", "4"), ("count", "--vertices", "7"), ("enumerate", "--edges", "3"),
+         ("flows", "--saddles", "3"), ("render", "--code", "()")],
+        ids=" ".join,
+    )
+    def test_reader_gone_before_output_ends_quietly(self, argv, unbuffered):
+        # as `{ sleep 1; plane-forest count --edges 4; } | true`: the reader
+        # is gone before the first byte, so the first write (unbuffered) or
+        # the flush (buffered) meets the closed pipe
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "plane_forest.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"")

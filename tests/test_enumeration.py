@@ -99,12 +99,20 @@ class TestNecklaceWalk:
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
     @pytest.mark.parametrize("budget", range(1, 13))
     def test_matches_the_reference_walk(self, budget, mode):
-        # the divisor test, the bracelet test, the pool starts and the size
+        # the divisor test, the bracelet test, FKM's >= filter and the size
         # prunes keep exactly the lists of the least-rotation rule, in its order
         for most in sorted({2, budget}):
             walked = list(enumeration._necklaces(budget, most, mode))
             assert [words for _, words in walked] == list(reference_necklaces(budget, most, mode))
             assert all(_height_of("".join(words)) == h + 1 for h, words in walked)
+
+    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
+    def test_covers_the_smallest_sizes(self, mode):
+        # the single vertex is the empty list, and the single edge the pair
+        # of one-vertex halves; a one-vertex budget holds no list
+        assert list(enumeration._necklaces(0, 0, mode)) == [(0, [])]
+        assert list(enumeration._necklaces(1, 1, mode)) == list(enumeration._necklaces(1, 2, mode)) == []
+        assert list(enumeration._necklaces(2, 2, mode)) == [(0, ["()", "()"])]
 
     def test_bracelet_is_the_least_rotation_rule(self):
         # on every necklace, the mirror image's rotations alone decide
