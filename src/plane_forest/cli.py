@@ -27,7 +27,7 @@ from .enumeration import (
 from .errors import LimitExceeded, PlaneForestError
 from .morse import count_flows, enumerate_flows, flow_record
 from .render import FORMATS, LAYOUTS, RenderSpec, render
-from .trees import EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
+from .trees import _MIRROR, EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
 from .canonical import _center_split, rerooting_oracle_canon
 
 
@@ -134,12 +134,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         nonlocal all_ok
         yield "internal consistency (center gluing vs brute-force re-rooting):\n"
         for vertices in range(1, sweep_top + 1):
-            # one center split per rooted tree serves both modes' two checks
+            # the oracle once per rooted tree, oriented: reflection permutes
+            # the rooted trees of a size, so a tree's mirror form is the least
+            # of its own oriented form and its reflection's, the oracle's own
+            # MIRROR rule. Interning keeps one string per oriented class.
+            oriented = {
+                encode(tree): sys.intern(rerooting_oracle_canon(tree, EquivalenceMode.ORIENTED))
+                for tree in enumerate_rooted(vertices - 1)
+            }
+            # then one center split per rooted tree serves both modes
             pairs = {mode: set() for mode in EquivalenceMode}
-            for tree in enumerate_rooted(vertices - 1):
-                kind, least = _center_split(encode(tree))
-                for mode, found in pairs.items():
-                    found.add((f"{kind.value}:{least(mode)}", rerooting_oracle_canon(tree, mode)))
+            for code, form in oriented.items():
+                kind, least = _center_split(code)
+                mirror = min(form, oriented[code[::-1].translate(_MIRROR)])
+                for mode, slow in (EquivalenceMode.ORIENTED, form), (EquivalenceMode.MIRROR, mirror):
+                    pairs[mode].add((f"{kind.value}:{least(mode)}", slow))
             cells = []
             for mode, found in pairs.items():
                 glued = [p.serialize() for p in enumerate_plane_center(vertices, mode)]

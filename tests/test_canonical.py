@@ -418,6 +418,20 @@ class TestRerootingOracle:
                     assert fast_to_slow.setdefault(fast, slow) == slow
                     assert slow_to_fast.setdefault(slow, fast) == fast
 
+    def test_mirror_form_is_least_over_tree_and_reflection(self):
+        # the two facts verify composes its mirror forms from, over every
+        # rooted tree with up to 9 edges: reflection is an involution of
+        # each size's rooted codes, and a tree's mirror form is the least
+        # of its own oriented form and its reflection's
+        for edges in range(0, 10):
+            trees = list(enumerate_rooted(edges))
+            assert {encode(reflect(tree)) for tree in trees} == set(map(encode, trees))
+            for tree in trees:
+                image = reflect(tree)
+                assert reflect(image) == tree
+                least = min(rerooting_oracle_canon(tree), rerooting_oracle_canon(image))
+                assert rerooting_oracle_canon(tree, MIRROR) == least
+
     def test_induces_paper_sized_partition_on_four_edges(self):
         # all 14 rooted trees with 4 edges fall into 3 plane classes
         keys = {rerooting_oracle_canon(t) for t in enumerate_rooted(4)}

@@ -314,6 +314,21 @@ class TestVerify:
         assert code == 0 and out.endswith("internal checks: all passed\n")
         assert calls == {"_center_walk": sum(count_rooted(edges) for edges in range(8))} == {"_center_walk": 626}
 
+    def test_sweep_calls_the_oracle_once_per_tree(self, capsys, monkeypatch):
+        # oriented forms only: a tree's mirror form is the least of its own
+        # oriented form and its reflection's
+        modes = collections.Counter()
+
+        def counted(tree, mode, real=canonical.rerooting_oracle_canon):
+            modes[mode] += 1
+            return real(tree, mode)
+
+        monkeypatch.setattr("plane_forest.cli.rerooting_oracle_canon", counted)
+        code, out, _ = run(capsys, "verify", "--max-vertices", "8")
+        assert code == 0 and out.endswith("internal checks: all passed\n")
+        oriented = EquivalenceMode.ORIENTED
+        assert modes == {oriented: sum(count_rooted(edges) for edges in range(8))} == {oriented: 626}
+
     @pytest.mark.parametrize(
         "oracle",
         [lambda tree, mode: "merged", lambda tree, mode: encode(tree)],
