@@ -32,7 +32,7 @@ at any corner.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from enum import Enum
 from functools import partial
 from itertools import accumulate
@@ -280,9 +280,10 @@ def _least_bicentral(a: str, b: str, height: int, mode: EquivalenceMode) -> str:
     return min(_least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a)))
 
 
-def _center_split(code: str) -> tuple[Centrality, Callable[[EquivalenceMode], str]]:
+def _center_split(code: str) -> tuple[Centrality, partial[str]]:
     # the mode-free part of a canonical form: the centrality, and the mode
-    # step, a least code over the center's branch words or the two halves.
+    # step, a least code over the center's branch words or the two halves,
+    # whose `args` are that input: (words,) or (a, b, h).
     # Re-rooted at the last center walked, the branch words are its
     # children's, in order, then the parent side: the code after the center's
     # subtree and then the code before it, with every walked edge turned round.

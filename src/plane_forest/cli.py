@@ -28,7 +28,7 @@ from .errors import LimitExceeded, PlaneForestError
 from .morse import count_flows, enumerate_flows, flow_record
 from .render import FORMATS, LAYOUTS, RenderSpec, render
 from .trees import _MIRROR, EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
-from .canonical import _center_split, rerooting_oracle_canon
+from .canonical import Centrality, _center_split, rerooting_oracle_canon
 
 
 #: Most edges whose Catalan number prints within Python's default limit of
@@ -142,13 +142,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 encode(tree): sys.intern(rerooting_oracle_canon(tree, EquivalenceMode.ORIENTED))
                 for tree in enumerate_rooted(vertices - 1)
             }
-            # then one center split per rooted tree serves both modes
+            # then one center split per rooted tree serves both modes. The
+            # rootings of a class reach few distinct inputs of the mode step,
+            # so its least codes are taken once per input: a unicentral
+            # center's branch words are primitive Dyck words, whose join
+            # factors back into that one list, and a bicentral input is
+            # (a, b, h). Only the two tagged forms are kept, not the step.
+            forms: dict[object, tuple[str, str]] = {}
             pairs = {mode: set() for mode in EquivalenceMode}
             for code, form in oriented.items():
                 kind, least = _center_split(code)
+                key = least.args if kind is Centrality.BICENTRAL else "".join(least.args[0])
+                fast = forms.get(key)
+                if fast is None:
+                    tag = f"{kind.value}:"
+                    fast = forms[key] = (tag + least(EquivalenceMode.ORIENTED), tag + least(EquivalenceMode.MIRROR))
                 mirror = min(form, oriented[code[::-1].translate(_MIRROR)])
-                for mode, slow in (EquivalenceMode.ORIENTED, form), (EquivalenceMode.MIRROR, mirror):
-                    pairs[mode].add((f"{kind.value}:{least(mode)}", slow))
+                pairs[EquivalenceMode.ORIENTED].add((fast[0], form))
+                pairs[EquivalenceMode.MIRROR].add((fast[1], mirror))
             cells = []
             for mode, found in pairs.items():
                 glued = [p.serialize() for p in enumerate_plane_center(vertices, mode)]

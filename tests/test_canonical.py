@@ -462,6 +462,19 @@ class TestCenterSplit:
     def test_star_and_path(self, code):
         self.check(decode(code))
 
+    def test_unicentral_words_factor_back_from_their_join(self):
+        # a unicentral step's input is keyed by the join of its branch
+        # words, which are primitive Dyck words: the join gives them back
+        unicentral = 0
+        for edges in range(0, 12):
+            for code in iter_dyck_codes(edges):
+                kind, least = _center_split(code)
+                if kind is Centrality.UNICENTRAL:
+                    (words,) = least.args
+                    assert _factors("".join(words)) == words
+                    unicentral += 1
+        assert unicentral == 41563
+
 
 class TestCornerWalk:
     def test_corners_are_every_vertex_and_rotation(self):

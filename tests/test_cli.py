@@ -2,6 +2,7 @@ import ast
 import collections
 import copy
 import errno
+import functools
 import hashlib
 import json
 import os
@@ -291,6 +292,14 @@ class TestVerify:
         assert "oriented=ok" in out and "mirror=ok" in out
         assert "FAIL" not in out
 
+    def test_default_output_frozen(self, capsys):
+        # plain verify, up to 9 vertices, stays byte-identical
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert out.count("MISMATCH") == 3
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "ef953110c04af8cdd36b788dc779b04f9f95116cfee5fbce169284cb30375e39"
+
     def test_ten_vertex_output_frozen(self, capsys):
         # all three routes at every size up to 10, both modes; the audit
         # keeps its three MISMATCH rows
@@ -313,6 +322,47 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--max-vertices", "8")
         assert code == 0 and out.endswith("internal checks: all passed\n")
         assert calls == {"_center_walk": sum(count_rooted(edges) for edges in range(8))} == {"_center_walk": 626}
+
+    def test_sweep_takes_each_least_code_once(self, capsys, monkeypatch):
+        # the mode step runs once per mode per distinct center input, not
+        # once per rooted tree: the rootings of a class share their inputs
+        def hashable(args):  # a unicentral input is a list of branch words
+            return tuple(tuple(x) if isinstance(x, list) else x for x in args)
+
+        calls = collections.Counter()
+        split = canonical._center_split
+
+        def counted_split(code):
+            kind, step = split(code)
+
+            def counted(*args):
+                calls[hashable(args[:-1]), args[-1]] += 1
+                return step.func(*args)
+
+            return kind, functools.partial(counted, *step.args)
+
+        monkeypatch.setattr("plane_forest.cli._center_split", counted_split)
+        code, out, _ = run(capsys, "verify", "--max-vertices", "8")
+        assert code == 0 and out.endswith("internal checks: all passed\n")
+        inputs = {hashable(split(code)[1].args) for edges in range(8) for code in iter_dyck_codes(edges)}
+        assert len(inputs) < sum(count_rooted(edges) for edges in range(8))
+        assert calls == {(given, mode): 1 for given in inputs for mode in EquivalenceMode}
+
+    @pytest.mark.parametrize(
+        "name, fault",
+        [
+            ("_least_rotation", lambda words, mode: "".join(words)),
+            ("_least_bicentral", lambda a, b, height, mode: "(" + b + ")" + a),
+        ],
+        ids=["rotation-dependent", "one-ended-bicentral"],
+    )
+    def test_shared_step_hides_no_fault(self, capsys, monkeypatch, name, fault):
+        # a mode step that depends on the rooting gives two forms to one
+        # class, which sharing the step between equal inputs cannot hide
+        monkeypatch.setattr(canonical, name, fault)
+        code, out, err = run(capsys, "verify", "--max-vertices", "8")
+        assert code == 2
+        assert "FAIL" in out and "internal checks: FAILED" in err
 
     def test_sweep_calls_the_oracle_once_per_tree(self, capsys, monkeypatch):
         # oriented forms only: a tree's mirror form is the least of its own
