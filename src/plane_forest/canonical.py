@@ -87,8 +87,7 @@ class PlaneTree(_Frozen):
 
     def __init__(self, canon: str, mode: EquivalenceMode, centrality: Centrality) -> None:
         _check_mode(mode)
-        if not isinstance(centrality, Centrality):
-            raise ValueError(f"centrality must be a Centrality member, got {centrality!r}")
+        _check_centrality(centrality)
         _height_of(canon)  # raises MalformedCode on bad input
         self.__dict__.update(canon=canon, mode=mode, centrality=centrality, _key=(canon, mode, centrality))
 
@@ -147,6 +146,12 @@ def _check_mode(mode: EquivalenceMode) -> None:
     # `mode is EquivalenceMode.MIRROR` test would quietly read it as ORIENTED
     if not isinstance(mode, EquivalenceMode):
         raise ValueError(f"mode must be an EquivalenceMode member, got {mode!r}")
+
+
+def _check_centrality(kind: Centrality) -> None:
+    # a kind given by its letter, such as "U", would pass every `is` test as neither kind
+    if not isinstance(kind, Centrality):
+        raise ValueError(f"centrality must be a Centrality member, got {kind!r}")
 
 
 def _checked(vertices: int, mode: EquivalenceMode, limit: int | None, cap: int, route: str) -> None:

@@ -19,16 +19,16 @@ from .enumeration import (
     ORACLE_MAX_VERTICES,
     _catalog,
     _center_codes,
+    _cross_check,
     _rooted_listing,
     count_plane,
-    enumerate_plane_center,
     reconcile_counts,
 )
 from .errors import LimitExceeded, PlaneForestError
 from .morse import count_flows, enumerate_flows, flow_record
 from .render import FORMATS, LAYOUTS, RenderSpec, render
-from .trees import _MIRROR, EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
-from .canonical import Centrality, _center_split, rerooting_oracle_canon
+from .trees import EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
+from .canonical import rerooting_oracle_canon
 
 
 #: Most edges whose Catalan number prints within Python's default limit of
@@ -107,9 +107,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         lines = _rooted_listing(args.edges, codes, args.format)
     else:
         mode = EquivalenceMode(args.mode or "oriented")
-        groups = _center_codes(args.vertices, mode, args.max_vertices)
-        classes = [line for kind, codes in groups for line in map(f"{kind.value}:".__add__, codes)]
-        lines = _catalog(args.vertices, mode, classes, args.format)
+        lines = _catalog(args.vertices, mode, _center_codes(args.vertices, mode, args.max_vertices), args.format)
     _emit(lines, args.out)
     return 0
 
@@ -126,49 +124,23 @@ def cmd_flows(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    top = args.max_vertices if args.max_vertices is not None else 9
-    sweep_top = min(top, ORACLE_MAX_VERTICES)
+    sweep_top = min(args.max_vertices, ORACLE_MAX_VERTICES)
     all_ok = True
 
     def lines() -> Iterator[str]:
         nonlocal all_ok
         yield "internal consistency (center gluing vs brute-force re-rooting):\n"
         for vertices in range(1, sweep_top + 1):
-            # the oracle once per rooted tree, oriented: reflection permutes
-            # the rooted trees of a size, so a tree's mirror form is the least
-            # of its own oriented form and its reflection's, the oracle's own
-            # MIRROR rule. Interning keeps one string per oriented class.
-            oriented = {
+            # the oracle once per rooted tree, oriented; interned, one string per class
+            slow = {
                 encode(tree): sys.intern(rerooting_oracle_canon(tree, EquivalenceMode.ORIENTED))
                 for tree in enumerate_rooted(vertices - 1)
             }
-            # then one center split per rooted tree serves both modes. The
-            # rootings of a class reach few distinct inputs of the mode step,
-            # so its least codes are taken once per input: a unicentral
-            # center's branch words are primitive Dyck words, whose join
-            # factors back into that one list, and a bicentral input is
-            # (a, b, h). Only the two tagged forms are kept, not the step.
-            forms: dict[object, tuple[str, str]] = {}
-            pairs = {mode: set() for mode in EquivalenceMode}
-            for code, form in oriented.items():
-                kind, least = _center_split(code)
-                key = least.args if kind is Centrality.BICENTRAL else "".join(least.args[0])
-                fast = forms.get(key)
-                if fast is None:
-                    tag = f"{kind.value}:"
-                    fast = forms[key] = (tag + least(EquivalenceMode.ORIENTED), tag + least(EquivalenceMode.MIRROR))
-                mirror = min(form, oriented[code[::-1].translate(_MIRROR)])
-                pairs[EquivalenceMode.ORIENTED].add((fast[0], form))
-                pairs[EquivalenceMode.MIRROR].add((fast[1], mirror))
-            cells = []
-            for mode, found in pairs.items():
-                glued = [p.serialize() for p in enumerate_plane_center(vertices, mode)]
-                oracle = sorted({fast for fast, _ in found})
-                ok = glued == oracle and len(found) == len(oracle) == len({slow for _, slow in found})
-                all_ok = all_ok and ok
-                cells.append(f"{mode.value}={'ok' if ok else 'FAIL'} (count={len(glued)})")
+            checks = list(_cross_check(vertices, slow))
+            all_ok = all_ok and all(ok for _, ok, _ in checks)
+            cells = [f"{mode.value}={'ok' if ok else 'FAIL'} (count={count})" for mode, ok, count in checks]
             yield f"  v={vertices:>2}: " + "  ".join(cells) + "\n"
-        if top > sweep_top:
+        if args.max_vertices > sweep_top:
             yield f"  (oracle comparison capped at v={sweep_top})\n"
         yield "\nclaimed-count audit (mismatches are reported, not failures):\n"
         yield from (f"  {line}\n" for line in reconcile_counts().to_text().splitlines())
@@ -254,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check both enumeration routes and audit claimed counts"
     )
     add_cap(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, max_vertices=9)
 
     p_render = sub.add_parser("render", help="draw a tree code as dot, svg or ascii")
     p_render.add_argument("--code", required=True, help="parenthesis code, optionally U:/B: prefixed")

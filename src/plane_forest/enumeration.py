@@ -26,8 +26,8 @@ both ends of the central edge only when neither half's opening run
 decides it. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
-rooted tree of the right size and dedups. The two routes must agree
-byte-for-byte, which is the strongest consistency check in the package.
+rooted tree of the size and dedups; `_cross_check` holds it to byte-for-byte
+agreement with gluing and to a third route's partition of the rooted trees.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, islice
 
-from .canonical import Centrality, PlaneTree, _center_split, _check_mode, _checked, _least_bicentral, _plane_tree
+from .canonical import (Centrality, PlaneTree, _center_split, _check_centrality, _check_mode, _checked,
+                        _least_bicentral, _plane_tree)
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
@@ -71,6 +72,7 @@ class CenterGluingSpec(_Frozen):
     _fields = ("kind", "parts", "target_vertices")
 
     def __init__(self, kind: Centrality, parts: tuple[RootedPlaneTree, ...], target_vertices: int) -> None:
+        _check_centrality(kind)
         heights = [p.height for p in parts]
         if kind is Centrality.UNICENTRAL:
             if len(parts) < 2:
@@ -163,17 +165,17 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
                         stack.append((words + [word], step, spare, tall + (height == h)))
 
 
-def _center_codes(vertices: int, mode: EquivalenceMode, limit: int | None) -> list[tuple[Centrality, list[str]]]:
-    # the sorted canonical codes of the classes, bicentral first (serialized,
-    # "B:" sorts before "U:"), with no class built
+def _center_codes(vertices: int, mode: EquivalenceMode, limit: int | None) -> list[str]:
+    # the sorted serialized classes, bicentral first ("B:" sorts before
+    # "U:"), with no class built
     _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
     unicentral = ("".join(words) for _, words in _necklaces(vertices - 1, vertices - 1, mode))
     # two-branch necklaces one vertex larger are the bicentral half pairs
     bicentral = (_least_bicentral(a[1:-1], b[1:-1], h, mode) for h, (a, b) in _necklaces(vertices, 2, mode))
-    groups = [(Centrality.BICENTRAL, sorted(bicentral)), (Centrality.UNICENTRAL, sorted(unicentral))]
+    lines = sorted(chain(map("B:".__add__, bicentral), map("U:".__add__, unicentral)))
     # one necklace test per class must leave no duplicate
-    assert all(x != y for _, codes in groups for x, y in zip(codes, codes[1:])), "gluing emitted a duplicate"
-    return groups
+    assert all(x != y for x, y in zip(lines, lines[1:])), "gluing emitted a duplicate"
+    return lines
 
 
 def enumerate_plane_center(
@@ -188,7 +190,21 @@ def enumerate_plane_center(
     Raises LimitExceeded above the cap (default 12) and ValueError for a
     non-positive vertex count.
     """
-    return [_plane_tree(code, mode, kind) for kind, codes in _center_codes(vertices, mode, limit) for code in codes]
+    return [_plane_tree(line[2:], mode, Centrality(line[0])) for line in _center_codes(vertices, mode, limit)]
+
+
+def _brute_forms(vertices: int) -> Iterator[tuple[str, tuple[str, str]]]:
+    # each rooted code of the size with its serialized (ORIENTED, MIRROR)
+    # classes; the rootings of a class share few inputs of the mode step, so
+    # the least codes are taken once per input, keyed by the words' join or (a, b, h)
+    forms: dict[object, tuple[str, str]] = {}
+    for code in iter_dyck_codes(vertices - 1):
+        kind, least = _center_split(code)
+        key = least.args if kind is Centrality.BICENTRAL else "".join(least.args[0])
+        if key not in forms:
+            tag = f"{kind.value}:"
+            forms[key] = (tag + least(EquivalenceMode.ORIENTED), tag + least(EquivalenceMode.MIRROR))
+        yield code, forms[key]
 
 
 def enumerate_plane_oracle(
@@ -201,8 +217,23 @@ def enumerate_plane_oracle(
     and dedup. Verification-grade, capped at 10 vertices by default."""
     _checked(vertices, mode, limit, ORACLE_MAX_VERTICES, "oracle")
     # dedup the forms first, so each class is built once
-    forms = {(kind.value, least(mode)) for kind, least in map(_center_split, iter_dyck_codes(vertices - 1))}
-    return [_plane_tree(canon, mode, Centrality(tag)) for tag, canon in sorted(forms)]
+    lines = sorted({forms[mode is EquivalenceMode.MIRROR] for _, forms in _brute_forms(vertices)})
+    return [_plane_tree(line[2:], mode, Centrality(line[0])) for line in lines]
+
+
+def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[EquivalenceMode, bool, int]]:
+    # yields (mode, ok, glued count): ok when the brute-force classes are the
+    # glued ones and group the rooted trees as `slow`, an oriented form per
+    # code, does; a mirror form is the least of a tree's and its reflection's
+    pairs = {mode: set() for mode in EquivalenceMode}
+    for code, (oriented, mirror) in _brute_forms(vertices):
+        pairs[EquivalenceMode.ORIENTED].add((oriented, slow[code]))
+        pairs[EquivalenceMode.MIRROR].add((mirror, min(slow[code], slow[code[::-1].translate(_MIRROR)])))
+    for mode, found in pairs.items():
+        glued = _center_codes(vertices, mode, None)
+        brute = sorted({form for form, _ in found})
+        ok = glued == brute and len(found) == len(brute) == len({form for _, form in found})
+        yield mode, ok, len(glued)
 
 
 def count_plane(
@@ -271,8 +302,7 @@ def reconcile_counts() -> ReconcileReport:
     for edges, claimed in sorted(CLAIMED_ROOTED.items()):
         exact = count_rooted(edges)
         rows.append(ReconcileRow("rooted", edges, claimed, exact, exact))
-    plane = {v: [count_plane(v, mode) for mode in (EquivalenceMode.ORIENTED, EquivalenceMode.MIRROR)]
-             for v in CLAIMED_PLANE}
+    plane = {v: [count_plane(v, mode) for mode in EquivalenceMode] for v in CLAIMED_PLANE}
     rows += [ReconcileRow("plane", v, claimed, *plane[v]) for v, claimed in sorted(CLAIMED_PLANE.items())]
     rows += [ReconcileRow("flows", s, claimed, *plane[s + 1]) for s, claimed in sorted(CLAIMED_FLOWS.items())]
     return ReconcileReport(tuple(rows))

@@ -30,15 +30,8 @@ def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def parse_code_argument(text: str) -> RootedPlaneTree:
-    """Strip an optional centrality prefix and decode; MalformedCode on junk."""
-    if text[:2] in ("U:", "B:"):
-        text = text[2:]
-    return decode(text)
-
-
 def render(spec: RenderSpec) -> str:
-    tree = parse_code_argument(spec.code)
+    tree = decode(spec.code[2:] if spec.code[:2] in ("U:", "B:") else spec.code)
     if spec.format == "ascii":
         return render_ascii(tree)
     if spec.format == "dot":

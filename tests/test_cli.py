@@ -323,9 +323,12 @@ class TestVerify:
         assert code == 0 and out.endswith("internal checks: all passed\n")
         assert calls == {"_center_walk": sum(count_rooted(edges) for edges in range(8))} == {"_center_walk": 626}
 
-    def test_sweep_takes_each_least_code_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("caller", ["verify", "oriented", "mirror"])
+    def test_sweep_takes_each_least_code_once(self, capsys, monkeypatch, caller):
         # the mode step runs once per mode per distinct center input, not
-        # once per rooted tree: the rootings of a class share their inputs
+        # once per rooted tree: the rootings of a class share their inputs.
+        # `verify` up to 8 vertices and `enumerate_plane_oracle(8, mode)` take
+        # both modes' steps on the one brute-force pass
         def hashable(args):  # a unicentral input is a list of branch words
             return tuple(tuple(x) if isinstance(x, list) else x for x in args)
 
@@ -341,11 +344,17 @@ class TestVerify:
 
             return kind, functools.partial(counted, *step.args)
 
-        monkeypatch.setattr("plane_forest.cli._center_split", counted_split)
-        code, out, _ = run(capsys, "verify", "--max-vertices", "8")
-        assert code == 0 and out.endswith("internal checks: all passed\n")
-        inputs = {hashable(split(code)[1].args) for edges in range(8) for code in iter_dyck_codes(edges)}
-        assert len(inputs) < sum(count_rooted(edges) for edges in range(8))
+        monkeypatch.setattr(enumeration, "_center_split", counted_split)
+        if caller == "verify":
+            code, out, _ = run(capsys, "verify", "--max-vertices", "8")
+            assert code == 0 and out.endswith("internal checks: all passed\n")
+            sizes = range(8)
+        else:
+            mode = EquivalenceMode(caller)
+            assert enumeration.enumerate_plane_oracle(8, mode) == enumeration.enumerate_plane_center(8, mode)
+            sizes = [7]
+        inputs = {hashable(split(code)[1].args) for edges in sizes for code in iter_dyck_codes(edges)}
+        assert len(inputs) < sum(count_rooted(edges) for edges in sizes)
         assert calls == {(given, mode): 1 for given in inputs for mode in EquivalenceMode}
 
     @pytest.mark.parametrize(
@@ -392,12 +401,12 @@ class TestVerify:
 
     def test_catalog_disagreement_fails(self, capsys, monkeypatch):
         # gluing that loses one class no longer matches the brute force
-        glue = plane_forest.enumerate_plane_center
+        glue = enumeration._center_codes
 
-        def drop_last(vertices, mode, **kwargs):
-            return glue(vertices, mode, **kwargs)[:-1]
+        def drop_last(vertices, mode, limit):
+            return glue(vertices, mode, limit)[:-1]
 
-        monkeypatch.setattr("plane_forest.cli.enumerate_plane_center", drop_last)
+        monkeypatch.setattr(enumeration, "_center_codes", drop_last)
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
         assert "FAIL" in out and "internal checks: FAILED" in err
@@ -687,6 +696,15 @@ class TestContract:
         monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")
         code, _, err = run(capsys, "enumerate", "--edges", "3")
         assert code == 1 and "cap" in err
+
+    def test_env_cap_stops_the_verify_sweep(self, capsys, monkeypatch):
+        # the oracle sweep enumerates rooted trees, which the cap bounds: the
+        # rows within it print, then one error line and exit 1
+        monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")
+        code, out, err = run(capsys, "verify")
+        rows = [f"  v= {v}: oriented=ok (count=1)  mirror=ok (count=1)\n" for v in (1, 2, 3)]
+        assert out == "internal consistency (center gluing vs brute-force re-rooting):\n" + "".join(rows)
+        assert code == 1 and err == "error: 3 edges exceeds the enumeration cap of 2\n"
 
     @pytest.mark.parametrize(
         "argv, unbuffered",

@@ -130,6 +130,11 @@ class TestOracleRoute:
     def test_five_vertices(self):
         assert len(enumerate_plane_oracle(5, ORIENTED)) == 3
 
+    def test_rooted_env_cap_does_not_apply(self, monkeypatch):
+        # the oracle keeps to its own vertex cap, not the rooted enumeration cap
+        monkeypatch.setenv("PLANE_FOREST_MAX_EDGES", "2")
+        assert len(enumerate_plane_oracle(5)) == 3
+
     def test_cap(self):
         with pytest.raises(LimitExceeded):
             enumerate_plane_oracle(11)

@@ -145,6 +145,12 @@ class TestPlaneTreeFields:
         with pytest.raises(ValueError, match="Centrality"):
             PlaneTree("()", ORIENTED, "U")
 
+    def test_gluing_kind_must_be_a_member(self):
+        # a letter for a kind would pass the checks as bicentral and glue ()
+        leaf = decode("")
+        with pytest.raises(ValueError, match="^centrality must be a Centrality member, got 'U'$"):
+            CenterGluingSpec("U", (leaf, leaf), 2)
+
     @pytest.mark.parametrize("code", ["((", "())", "(x)"])
     def test_code_must_balance(self, code):
         with pytest.raises(MalformedCode):
