@@ -32,7 +32,7 @@ at any corner.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import partial
 from itertools import accumulate
@@ -245,7 +245,7 @@ def _rooted_codes(adj: list[list[int]], root: int) -> list[str]:
     return words
 
 
-def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
+def _least_rotation(words: Sequence[str], mode: EquivalenceMode) -> str:
     # least code over the rotations of a root's branch words (and their
     # mirror images, in MIRROR mode), each a slice of the doubled join cut
     # at a word boundary; branch words are primitive Dyck words, a prefix
@@ -288,7 +288,7 @@ def _least_bicentral(a: str, b: str, height: int, mode: EquivalenceMode) -> str:
 def _center_split(code: str) -> tuple[Centrality, partial[str]]:
     # the mode-free part of a canonical form: the centrality, and the mode
     # step, a least code over the center's branch words or the two halves,
-    # whose `args` are that input: (words,) or (a, b, h).
+    # whose `args` are that input, hashable: (words,), words a tuple, or (a, b, h).
     # Re-rooted at the last center walked, the branch words are its
     # children's, in order, then the parent side: the code after the center's
     # subtree and then the code before it, with every walked edge turned round.
@@ -306,7 +306,7 @@ def _center_split(code: str) -> tuple[Centrality, partial[str]]:
     while i < end:
         words.append(code[i : mate[i] + 1])
         i = mate[i] + 1
-    return Centrality.UNICENTRAL, partial(_least_rotation, words + up)
+    return Centrality.UNICENTRAL, partial(_least_rotation, tuple(words + up))
 
 
 def _plane_tree_of(code: str, mode: EquivalenceMode) -> PlaneTree:

@@ -63,16 +63,17 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
-    directory = os.path.dirname(os.path.abspath(out)) or "."
+    # a symlink is written through, as open(out, "w") would, not replaced
+    target = os.path.realpath(out)
     mode = _file_mode(out)
     tmp = ""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".plane-forest-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".plane-forest-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.chmod(tmp, mode)
             for line in lines:
                 handle.write(line)
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)

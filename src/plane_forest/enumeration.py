@@ -26,8 +26,8 @@ both ends of the central edge only when neither half's opening run
 decides it. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
-rooted tree of the size and dedups; `_cross_check` holds it to byte-for-byte
-agreement with gluing and to a third route's partition of the rooted trees.
+rooted tree and dedups; `_cross_check` runs it on a third route's codes,
+one stream per size, held to gluing byte for byte and to their partition.
 """
 
 from __future__ import annotations
@@ -193,18 +193,15 @@ def enumerate_plane_center(
     return [_plane_tree(line[2:], mode, Centrality(line[0])) for line in _center_codes(vertices, mode, limit)]
 
 
-def _brute_forms(vertices: int) -> Iterator[tuple[str, tuple[str, str]]]:
-    # each rooted code of the size with its serialized (ORIENTED, MIRROR)
-    # classes; the rootings of a class share few inputs of the mode step, so
-    # the least codes are taken once per input, keyed by the words' join or (a, b, h)
-    forms: dict[object, tuple[str, str]] = {}
-    for code in iter_dyck_codes(vertices - 1):
+def _brute_forms(codes: Iterable[str]) -> Iterator[tuple[str, tuple[str, ...]]]:
+    # each code with its serialized (ORIENTED, MIRROR) classes, the least
+    # codes taken once per input of the mode step, which a class's rootings share
+    forms: dict[tuple, tuple[str, ...]] = {}
+    for code in codes:
         kind, least = _center_split(code)
-        key = least.args if kind is Centrality.BICENTRAL else "".join(least.args[0])
-        if key not in forms:
-            tag = f"{kind.value}:"
-            forms[key] = (tag + least(EquivalenceMode.ORIENTED), tag + least(EquivalenceMode.MIRROR))
-        yield code, forms[key]
+        if least.args not in forms:
+            forms[least.args] = tuple(f"{kind.value}:{least(mode)}" for mode in EquivalenceMode)
+        yield code, forms[least.args]
 
 
 def enumerate_plane_oracle(
@@ -217,22 +214,25 @@ def enumerate_plane_oracle(
     and dedup. Verification-grade, capped at 10 vertices by default."""
     _checked(vertices, mode, limit, ORACLE_MAX_VERTICES, "oracle")
     # dedup the forms first, so each class is built once
-    lines = sorted({forms[mode is EquivalenceMode.MIRROR] for _, forms in _brute_forms(vertices)})
+    lines = sorted({forms[mode is EquivalenceMode.MIRROR] for _, forms in _brute_forms(iter_dyck_codes(vertices - 1))})
     return [_plane_tree(line[2:], mode, Centrality(line[0])) for line in lines]
 
 
 def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[EquivalenceMode, bool, int]]:
-    # yields (mode, ok, glued count): ok when the brute-force classes are the
-    # glued ones and group the rooted trees as `slow`, an oriented form per
-    # code, does; a mirror form is the least of a tree's and its reflection's
+    # yields (mode, ok, glued count): ok when `slow`, an oriented form per
+    # code, has every rooted tree of the size and their brute-force classes
+    # are the glued ones and group them as it does; a mirror form is the
+    # least of a tree's and its reflection's, where `slow` has the reflection
     pairs = {mode: set() for mode in EquivalenceMode}
-    for code, (oriented, mirror) in _brute_forms(vertices):
-        pairs[EquivalenceMode.ORIENTED].add((oriented, slow[code]))
-        pairs[EquivalenceMode.MIRROR].add((mirror, min(slow[code], slow[code[::-1].translate(_MIRROR)])))
+    for code, (oriented, mirror) in _brute_forms(slow):
+        form = slow[code]
+        pairs[EquivalenceMode.ORIENTED].add((oriented, form))
+        pairs[EquivalenceMode.MIRROR].add((mirror, min(form, slow.get(code[::-1].translate(_MIRROR), form))))
+    covered = len(slow) == count_rooted(vertices - 1)
     for mode, found in pairs.items():
         glued = _center_codes(vertices, mode, None)
         brute = sorted({form for form, _ in found})
-        ok = glued == brute and len(found) == len(brute) == len({form for _, form in found})
+        ok = covered and glued == brute and len(found) == len(brute) == len({form for _, form in found})
         yield mode, ok, len(glued)
 
 
@@ -339,17 +339,24 @@ def _rooted_listing(edges: int, codes: Iterable[str], fmt: str) -> Iterator[str]
 
 def _catalog(vertices: int, mode: EquivalenceMode, lines: Sequence[str], fmt: str) -> Iterator[str]:
     # the catalog of the serialized classes `lines`
-    _check_mode(mode)
     header = f"plane-trees v={vertices} mode={mode.value}"
     fields = f'"mode": "{mode.value}",\n  "vertices": {vertices}'
     return _listing(lines, len(lines), header, fields, fmt)
 
 
+def _class_lines(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> list[str]:
+    # the classes serialized, each checked to have the mode and size the header names
+    _check_mode(mode)
+    if any(c.mode is not mode or c.vertex_count != vertices for c in classes):
+        raise ValueError(f"a catalog of mode={mode.value} v={vertices} takes only classes of that mode and size")
+    return [c.serialize() for c in classes]
+
+
 def catalog_text(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:
     """Plain-text catalog: one header line, then one serialized class per line."""
-    return "".join(_catalog(vertices, mode, [c.serialize() for c in classes], "catalog"))
+    return "".join(_catalog(vertices, mode, _class_lines(vertices, mode, classes), "catalog"))
 
 
 def catalog_json(vertices: int, mode: EquivalenceMode, classes: Sequence[PlaneTree]) -> str:
     """Machine-readable catalog with fields vertices, mode, count, codes."""
-    return "".join(_catalog(vertices, mode, [c.serialize() for c in classes], "json"))
+    return "".join(_catalog(vertices, mode, _class_lines(vertices, mode, classes), "json"))

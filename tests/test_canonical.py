@@ -463,15 +463,14 @@ class TestCenterSplit:
         self.check(decode(code))
 
     def test_unicentral_words_factor_back_from_their_join(self):
-        # a unicentral step's input is keyed by the join of its branch
-        # words, which are primitive Dyck words: the join gives them back
+        # the split's branch words are the primitive factors of their join
         unicentral = 0
         for edges in range(0, 12):
             for code in iter_dyck_codes(edges):
                 kind, least = _center_split(code)
                 if kind is Centrality.UNICENTRAL:
                     (words,) = least.args
-                    assert _factors("".join(words)) == words
+                    assert _factors("".join(words)) == list(words)
                     unicentral += 1
         assert unicentral == 41563
 
@@ -579,7 +578,10 @@ MODE_CALLS = {
     "enumerate_flows": lambda mode: enumerate_flows(6, mode),
     "validate_flow_graph": lambda mode: validate_flow_graph(3, [(0, 1), (1, 2)], None, mode),
     "catalog_text": lambda mode: catalog_text(3, mode, []),
-    "catalog_json": lambda mode: catalog_json(3, mode, enumerate_plane_center(3, ORIENTED)),
+    # classes of the member mode under test, so a string mode reaches the writer
+    "catalog_json": lambda mode: catalog_json(
+        3, mode, enumerate_plane_center(3, mode if isinstance(mode, EquivalenceMode) else ORIENTED)
+    ),
 }
 
 

@@ -34,7 +34,7 @@ from plane_forest import (
     rotation_system,
     validate_flow_graph,
 )
-from plane_forest import canonical, enumeration
+from plane_forest import canonical, cli, enumeration
 from plane_forest.cli import main
 
 from helpers import random_tree
@@ -190,6 +190,20 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "# plane-trees v=4 mode=oriented count=2"
 
+    def test_out_writes_through_a_symlink(self, capsys, tmp_path):
+        # as open(out, "w") would: the link stays a link, its target is
+        # rewritten in place and keeps its permissions
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        code, out, _ = run(capsys, "enumerate", "--edges", "2", "--out", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == "(())\n()()\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(tmp_path.iterdir()) == [link, target]  # no stray temp file
+
     def test_no_partial_file_on_error(self, capsys, tmp_path):
         target = tmp_path / "never.txt"
         code, _, err = run(
@@ -329,9 +343,6 @@ class TestVerify:
         # once per rooted tree: the rootings of a class share their inputs.
         # `verify` up to 8 vertices and `enumerate_plane_oracle(8, mode)` take
         # both modes' steps on the one brute-force pass
-        def hashable(args):  # a unicentral input is a list of branch words
-            return tuple(tuple(x) if isinstance(x, list) else x for x in args)
-
         calls = collections.Counter()
         split = canonical._center_split
 
@@ -339,7 +350,7 @@ class TestVerify:
             kind, step = split(code)
 
             def counted(*args):
-                calls[hashable(args[:-1]), args[-1]] += 1
+                calls[args[:-1], args[-1]] += 1
                 return step.func(*args)
 
             return kind, functools.partial(counted, *step.args)
@@ -353,7 +364,7 @@ class TestVerify:
             mode = EquivalenceMode(caller)
             assert enumeration.enumerate_plane_oracle(8, mode) == enumeration.enumerate_plane_center(8, mode)
             sizes = [7]
-        inputs = {hashable(split(code)[1].args) for edges in sizes for code in iter_dyck_codes(edges)}
+        inputs = {split(code)[1].args for edges in sizes for code in iter_dyck_codes(edges)}
         assert len(inputs) < sum(count_rooted(edges) for edges in sizes)
         assert calls == {(given, mode): 1 for given in inputs for mode in EquivalenceMode}
 
@@ -395,6 +406,20 @@ class TestVerify:
     )
     def test_partition_disagreement_fails(self, capsys, monkeypatch, oracle):
         monkeypatch.setattr("plane_forest.cli.rerooting_oracle_canon", oracle)
+        code, out, err = run(capsys, "verify", "--max-vertices", "6")
+        assert code == 2
+        assert "FAIL" in out and "internal checks: FAILED" in err
+
+    def test_missing_rooted_tree_fails(self, capsys, monkeypatch):
+        # an oracle sweep that skips one rooted tree fails the coverage check
+        # and raises nothing, though the tree's class keeps other rootings
+        # and its reflection "()()(())" looks it up
+        rooted = cli.enumerate_rooted
+
+        def drop_one(edges):
+            return [tree for tree in rooted(edges) if encode(tree) != "(())()()"]
+
+        monkeypatch.setattr(cli, "enumerate_rooted", drop_one)
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
         assert "FAIL" in out and "internal checks: FAILED" in err

@@ -318,6 +318,19 @@ class TestCatalogFormats:
         assert doc["count"] == 12
         assert len(doc["codes"]) == 12
 
+    @pytest.mark.parametrize("writer", [catalog_text, catalog_json])
+    def test_writers_refuse_classes_of_another_mode_or_size(self, writer):
+        # the header names one mode and size; 2 of the 14 oriented 7-vertex
+        # classes are no canonical mirror code, and 7-vertex lines under v=5
+        # would misname every class
+        oriented, mirror = enumerate_plane_center(7, ORIENTED), enumerate_plane_center(7, MIRROR)
+        for vertices, mode, classes in (7, MIRROR, oriented), (7, ORIENTED, mirror), (5, ORIENTED, oriented):
+            with pytest.raises(ValueError, match=f"mode={mode.value} v={vertices}"):
+                writer(vertices, mode, classes)
+        mixed = enumerate_plane_center(5, ORIENTED) + oriented
+        with pytest.raises(ValueError, match="v=5"):
+            writer(5, ORIENTED, mixed)
+
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
     @pytest.mark.parametrize("vertices", [1, 5, 11, 12])
     def test_formats_against_their_definitions(self, vertices, mode):
