@@ -216,35 +216,6 @@ def center(tree: RootedPlaneTree) -> CenterResult:
     return CenterResult(centers=centers, radius=radius)
 
 
-def _rooted_codes(adj: list[list[int]], root: int) -> list[str]:
-    # the branch words "(...)" at root, in root's cyclic order, from one
-    # walk round the contour: '(' down each edge, ')' back up. A vertex's
-    # children follow its parent cyclically, so its parent's place in its
-    # list is looked up once, on the way down, and the scan stops there.
-    words = []
-    for first in adj[root]:
-        chars = ["("]
-        path = []
-        v = first
-        at = stop = adj[v].index(root)
-        while True:
-            nbrs = adj[v]
-            at = (at + 1) % len(nbrs)
-            if at == stop:
-                chars.append(")")
-                if not path:
-                    break
-                v, at, stop = path.pop()
-            else:
-                w = nbrs[at]
-                path.append((v, at, stop))
-                chars.append("(")
-                at = stop = adj[w].index(v)
-                v = w
-        words.append("".join(chars))
-    return words
-
-
 def _least_rotation(words: Sequence[str], mode: EquivalenceMode) -> str:
     # least code over the rotations of a root's branch words (and their
     # mirror images, in MIRROR mode), each a slice of the doubled join cut

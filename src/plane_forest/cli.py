@@ -36,24 +36,25 @@ from .canonical import rerooting_oracle_canon
 _COUNT_MAX_EDGES = 7152
 
 
-def _file_mode(path: str) -> int:
+def _file_mode(path: str) -> int | None:
     # the permissions open(path, "w") gives: an existing file keeps its
-    # own, a new one gets 0o666 less the umask (mkstemp's are owner-only)
+    # own, a new one gets 0o666 less the umask (mkstemp's are owner-only);
+    # None for a target that exists and is not a regular file
     try:
-        return stat.S_IMODE(os.stat(path).st_mode)
+        st_mode = os.stat(path).st_mode
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
+    return stat.S_IMODE(st_mode) if stat.S_ISREG(st_mode) else None
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
-    # full content is written to a sibling temp file and renamed into
-    # place, so a failure mid-run never leaves a partial output file
+    # a new or regular file gets its full content in a sibling temp file renamed
+    # into place, so a failure mid-run never leaves a partial output file
     if out is None:
         try:
-            for line in lines:
-                sys.stdout.write(line)
+            sys.stdout.writelines(lines)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader stopped early, which ends the stream but is no
@@ -63,16 +64,20 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         return
+    mode = _file_mode(out)
+    if mode is None:
+        # a FIFO, a device or /dev/stdout is written in place, as open(out, "w") would
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        return
     # a symlink is written through, as open(out, "w") would, not replaced
     target = os.path.realpath(out)
-    mode = _file_mode(out)
     tmp = ""
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".plane-forest-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.chmod(tmp, mode)
-            for line in lines:
-                handle.write(line)
+            handle.writelines(lines)
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp and os.path.exists(tmp):
@@ -138,8 +143,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 for tree in enumerate_rooted(vertices - 1)
             }
             checks = list(_cross_check(vertices, slow))
-            all_ok = all_ok and all(ok for _, ok, _ in checks)
-            cells = [f"{mode.value}={'ok' if ok else 'FAIL'} (count={count})" for mode, ok, count in checks]
+            all_ok = all_ok and not any(fault for _, fault, _ in checks)
+            cells = [f"{mode.value}={'FAIL' if fault else 'ok'} (count={count}{fault and ': ' + fault})"
+                     for mode, fault, count in checks]
             yield f"  v={vertices:>2}: " + "  ".join(cells) + "\n"
         if args.max_vertices > sweep_top:
             yield f"  (oracle comparison capped at v={sweep_top})\n"

@@ -218,11 +218,11 @@ def enumerate_plane_oracle(
     return [_plane_tree(line[2:], mode, Centrality(line[0])) for line in lines]
 
 
-def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[EquivalenceMode, bool, int]]:
-    # yields (mode, ok, glued count): ok when `slow`, an oriented form per
-    # code, has every rooted tree of the size and their brute-force classes
-    # are the glued ones and group them as it does; a mirror form is the
-    # least of a tree's and its reflection's, where `slow` has the reflection
+def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[EquivalenceMode, str, int]]:
+    # yields (mode, first failing check or "", glued count): `slow`, an oriented
+    # form per code, must cover every rooted tree of the size, whose brute-force
+    # classes must be the glued ones and group them as it does; a mirror form is
+    # the least of a tree's and its reflection's, where `slow` has the reflection
     pairs = {mode: set() for mode in EquivalenceMode}
     for code, (oriented, mirror) in _brute_forms(slow):
         form = slow[code]
@@ -232,8 +232,9 @@ def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[Equivale
     for mode, found in pairs.items():
         glued = _center_codes(vertices, mode, None)
         brute = sorted({form for form, _ in found})
-        ok = covered and glued == brute and len(found) == len(brute) == len({form for _, form in found})
-        yield mode, ok, len(glued)
+        checks = {"rooted trees missing": covered, "catalogs differ": glued == brute,
+                  "partitions differ": len(found) == len(brute) == len({form for _, form in found})}
+        yield mode, next((name for name, passed in checks.items() if not passed), ""), len(glued)
 
 
 def count_plane(

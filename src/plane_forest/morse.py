@@ -12,14 +12,15 @@ everything here is purely combinatorial: no vector fields are integrated.
 
 Index arithmetic pins the counts: sources - saddles + sinks equals the
 Euler characteristic 2 of the sphere, so a flow with k saddles has k + 1
-sources.
+sources. `validate_flow_graph` reads the rotation system as one code, in
+one walk round the contour from vertex 0.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .canonical import PlaneTree, _plane_tree_of, _rooted_codes
+from .canonical import PlaneTree, _plane_tree_of
 from .enumeration import count_plane, enumerate_plane_center
 from .errors import Disconnected, HasCycle
 from .trees import EquivalenceMode, _Frozen
@@ -49,6 +50,25 @@ def flow_from_tree(tree: PlaneTree) -> MorseFlow:
     """The flow whose separatrix tree is the given class: one source per
     vertex, one saddle per edge, one sink in the single complementary face."""
     return MorseFlow(tree.vertex_count, tree.edge_count, 1, tree)
+
+
+def _contour_code(adj: list[list[int]], root: int) -> str:
+    # '(' down each edge, ')' back up, on a stack of (vertex, index last visited, neighbours
+    # left); children follow the parent cyclically, so a vertex starts at its parent's index
+    chars = []
+    path = []
+    v, at, left = root, -1, len(adj[root])
+    while left or path:
+        if left:
+            at = (at + 1) % len(adj[v])
+            w = adj[v][at]
+            path.append((v, at, left - 1))
+            chars.append("(")
+            v, at, left = w, adj[w].index(v), len(adj[w]) - 1
+        else:
+            chars.append(")")
+            v, at, left = path.pop()
+    return "".join(chars)
 
 
 def validate_flow_graph(
@@ -107,7 +127,7 @@ def validate_flow_graph(
             if sorted(adj[v]) != sorted(neighbors[v]):
                 raise ValueError(f"rotation at vertex {v} does not match its edges")
 
-    return flow_from_tree(_plane_tree_of("".join(_rooted_codes(adj, 0)), mode))
+    return flow_from_tree(_plane_tree_of(_contour_code(adj, 0), mode))
 
 
 def count_flows(

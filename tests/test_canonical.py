@@ -32,7 +32,8 @@ from plane_forest import (
     rotation_system,
     validate_flow_graph,
 )
-from plane_forest.canonical import _center_split, _least_bicentral, _least_rotation, _rooted_codes
+from plane_forest.canonical import _center_split, _least_bicentral, _least_rotation
+from plane_forest.morse import _contour_code
 from plane_forest.trees import _corner_codes, _factors, _height_of
 
 import helpers
@@ -244,7 +245,7 @@ class TestRotationSystem:
     # vertex's parent (its one smaller neighbor) first, and ids in preorder
     def check(self, tree):
         adj = rotation_system(tree)
-        assert "".join(_rooted_codes(adj, 0)) == encode(tree)
+        assert _contour_code(adj, 0) == encode(tree)
         for v in range(1, len(adj)):
             assert adj[v][0] < v and all(u > v for u in adj[v][1:])
         assert preorder_of(adj) == list(range(tree.vertex_count))
@@ -260,6 +261,11 @@ class TestRotationSystem:
         self.check(random_tree(rng, rng.randint(50, 400)))
 
 
+def turned(adj, rng):
+    # every cyclic order started at a random neighbour
+    return [nbrs[k:] + nbrs[:k] for nbrs in adj for k in [rng.randrange(len(nbrs) or 1)]]
+
+
 class TestAgainstReferences:
     # the contour walk and the least slice of the doubled join against the
     # BFS concatenation and the least word list they replaced
@@ -268,14 +274,31 @@ class TestAgainstReferences:
             for tree in enumerate_rooted(edges):
                 adj = rotation_system(tree)
                 for root in range(len(adj)):
-                    assert _rooted_codes(adj, root) == helpers._rooted_codes(adj, root)
+                    assert _contour_code(adj, root) == "".join(helpers._rooted_codes(adj, root))
 
     @given(st.integers(min_value=1, max_value=300), st.randoms(use_true_random=False))
     @settings(max_examples=30)
     def test_rooted_codes_on_random_trees(self, vertices, rng):
         adj = rotation_system(random_tree(rng, vertices))
         for root in range(vertices):
-            assert _rooted_codes(adj, root) == helpers._rooted_codes(adj, root)
+            assert _contour_code(adj, root) == "".join(helpers._rooted_codes(adj, root))
+
+    # rotation_system puts each parent first; a caller's cyclic orders, the
+    # root's too, may start anywhere, so the walk must wrap past a list's end
+    def test_contour_code_from_any_first_neighbour_up_to_seven_edges(self):
+        rng = random.Random(7)
+        for edges in range(0, 8):
+            for tree in enumerate_rooted(edges):
+                adj = turned(rotation_system(tree), rng)
+                for root in range(len(adj)):
+                    assert _contour_code(adj, root) == "".join(helpers._rooted_codes(adj, root))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_contour_code_from_any_first_neighbour_on_random_trees(self, seed):
+        rng = random.Random(seed)
+        adj = turned(rotation_system(random_tree(rng, rng.randint(50, 400))), rng)
+        for root in range(len(adj)):
+            assert _contour_code(adj, root) == "".join(helpers._rooted_codes(adj, root))
 
     def test_least_rotation_on_every_word_list_up_to_ten_edges(self):
         for edges in range(0, 11):
@@ -362,8 +385,9 @@ class TestDeepAndWide:
     def test_against_references(self, code, line, result):
         adj = rotation_system(decode(code))
         for root in (0, len(adj) - 1):
-            words = _rooted_codes(adj, root)
-            assert words == helpers._rooted_codes(adj, root)
+            rooted = _contour_code(adj, root)
+            assert rooted == "".join(helpers._rooted_codes(adj, root))
+            words = _factors(rooted)
             for mode in (ORIENTED, MIRROR):
                 assert _least_rotation(words, mode) == helpers._least_rotation(words, mode)
 
@@ -484,7 +508,7 @@ class TestCornerWalk:
                 adj = rotation_system(tree)
                 expected = []
                 for v in range(len(adj)):
-                    words = _rooted_codes(adj, v)
+                    words = _factors(_contour_code(adj, v))
                     expected += ["".join(words[s:] + words[:s]) for s in range(len(words) or 1)]
                 codes = [encode(rep) for rep in rooted_representatives(tree)]
                 assert len(codes) == max(2 * edges, 1)

@@ -9,9 +9,11 @@ import os
 import pathlib
 import pickle
 import random
+import re
 import stat
 import subprocess
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 
@@ -204,6 +206,31 @@ class TestEnumerate:
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert sorted(tmp_path.iterdir()) == [link, target]  # no stray temp file
 
+    def test_out_writes_into_a_fifo(self, capsys, tmp_path):
+        # as open(out, "w") would: a FIFO cannot be renamed over, so the
+        # output goes into it and it stays a FIFO
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "enumerate", "--edges", "2", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert (code, out) == (0, "")
+        assert got == ["(())\n()()\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]  # no stray temp file
+
+    def test_out_dev_stdout_writes_to_stdout(self):
+        # with stdout a pipe, /dev/stdout is written into, not renamed over
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"(())\n()()\n", b"")
+
     def test_no_partial_file_on_error(self, capsys, tmp_path):
         target = tmp_path / "never.txt"
         code, _, err = run(
@@ -286,6 +313,11 @@ class TestFlows:
     def test_invalid(self, capsys):
         assert run(capsys, "flows", "--saddles", "-1")[0] == 1
         assert run(capsys, "flows")[0] == 1
+
+
+def failed_checks(out):
+    # the check named in each failing cell of a verify row
+    return set(re.findall(r"=FAIL \(count=\d+: ([a-z ]+)\)", out))
 
 
 class TestVerify:
@@ -382,7 +414,7 @@ class TestVerify:
         monkeypatch.setattr(canonical, name, fault)
         code, out, err = run(capsys, "verify", "--max-vertices", "8")
         assert code == 2
-        assert "FAIL" in out and "internal checks: FAILED" in err
+        assert failed_checks(out) == {"catalogs differ"} and "internal checks: FAILED" in err
 
     def test_sweep_calls_the_oracle_once_per_tree(self, capsys, monkeypatch):
         # oriented forms only: a tree's mirror form is the least of its own
@@ -408,7 +440,7 @@ class TestVerify:
         monkeypatch.setattr("plane_forest.cli.rerooting_oracle_canon", oracle)
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
-        assert "FAIL" in out and "internal checks: FAILED" in err
+        assert failed_checks(out) == {"partitions differ"} and "internal checks: FAILED" in err
 
     def test_missing_rooted_tree_fails(self, capsys, monkeypatch):
         # an oracle sweep that skips one rooted tree fails the coverage check
@@ -422,7 +454,9 @@ class TestVerify:
         monkeypatch.setattr(cli, "enumerate_rooted", drop_one)
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
-        assert "FAIL" in out and "internal checks: FAILED" in err
+        cells = "oriented=FAIL (count=3: rooted trees missing)  mirror=FAIL (count=3: rooted trees missing)"
+        assert f"  v= 5: {cells}\n" in out and failed_checks(out) == {"rooted trees missing"}
+        assert "internal checks: FAILED" in err
 
     def test_catalog_disagreement_fails(self, capsys, monkeypatch):
         # gluing that loses one class no longer matches the brute force
@@ -434,7 +468,7 @@ class TestVerify:
         monkeypatch.setattr(enumeration, "_center_codes", drop_last)
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
-        assert "FAIL" in out and "internal checks: FAILED" in err
+        assert failed_checks(out) == {"catalogs differ"} and "internal checks: FAILED" in err
 
 
 class TestRender:
