@@ -1,9 +1,10 @@
 """Command-line surface: count, enumerate, flows, verify, render.
 
 Exit codes: 0 success, 1 usage or input error, 2 internal verification
-mismatch. A reader that closes stdout early ends the output with exit 0
-and no message. Output is deterministic; identical invocations produce
-identical bytes.
+mismatch. `--out` replaces a file whole, but appends to stdout's own
+file and writes a FIFO or a device in place; a reader that closes any of
+them or stdout early ends the output with exit 0 and no message. Output
+is deterministic; identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import stat
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext, suppress
 
 from .enumeration import (
     ORACLE_MAX_VERTICES,
@@ -39,36 +41,38 @@ _COUNT_MAX_EDGES = 7152
 def _file_mode(path: str) -> int | None:
     # the permissions open(path, "w") gives: an existing file keeps its
     # own, a new one gets 0o666 less the umask (mkstemp's are owner-only);
-    # None for a target that exists and is not a regular file
+    # None for a target that exists and is not a regular file, or that is
+    # stdout's own file (a closed stdout has none)
     try:
-        st_mode = os.stat(path).st_mode
+        st = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
-    return stat.S_IMODE(st_mode) if stat.S_ISREG(st_mode) else None
+    with suppress(OSError):
+        if os.path.samestat(st, os.fstat(1)):
+            return None
+    return stat.S_IMODE(st.st_mode) if stat.S_ISREG(st.st_mode) else None
 
 
 def _emit(lines: Iterable[str], out: str | None) -> None:
     # a new or regular file gets its full content in a sibling temp file renamed
     # into place, so a failure mid-run never leaves a partial output file
-    if out is None:
+    mode = None if out is None else _file_mode(out)
+    if mode is None:
+        # stdout, its own file, a FIFO or a device is written in place;
+        # append mode keeps what a `>>` redirection already holds
         try:
-            sys.stdout.writelines(lines)
-            sys.stdout.flush()
+            with nullcontext(sys.stdout) if out is None else open(out, "a", encoding="utf-8") as handle:
+                handle.writelines(lines)
+                handle.flush()
         except BrokenPipeError:
             # the reader stopped early, which ends the stream but is no
-            # error; what is still buffered goes to devnull, so the flush
-            # at interpreter exit cannot raise again
+            # error; stdout goes to devnull, so a flush of what is still
+            # buffered at interpreter exit cannot raise again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        return
-    mode = _file_mode(out)
-    if mode is None:
-        # a FIFO, a device or /dev/stdout is written in place, as open(out, "w") would
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
         return
     # a symlink is written through, as open(out, "w") would, not replaced
     target = os.path.realpath(out)
@@ -186,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--mode",
             choices=[m.value for m in EquivalenceMode],
-            default=None,
             help="plane isomorphism flavor (default: oriented)",
         )
 
@@ -194,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-vertices",
             type=positive_int,
-            default=None,
             help="raise or lower the plane enumeration cap",
         )
 

@@ -101,18 +101,10 @@ def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
 
 
 @lru_cache(maxsize=None)
-def _pool(vertices: int, max_height: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    # the branch words "(b)" of the trees b of this size and height <=
-    # max_height, in word order, and the height of each tree
-    codes = list(_dyck_codes(vertices - 1, max_height))
-    return tuple(["(" + code + ")" for code in codes]), tuple(map(_height_of, codes))
-
-
-@lru_cache(maxsize=None)
-def _tall_pool(vertices: int, height: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    # the entries of _pool(vertices, height) whose tree is exactly this tall
-    words = tuple(word for word, tall in zip(*_pool(vertices, height)) if tall == height)
-    return words, (height,) * len(words)
+def _pool(vertices: int, height: int) -> tuple[str, ...]:
+    # the branch words "(b)" of the trees b of this size and exactly this
+    # height, in word order
+    return tuple(["(" + code + ")" for code in _dyck_codes(vertices - 1, height) if _height_of(code) == height])
 
 
 def _bracelet(words: list[str]) -> bool:
@@ -138,12 +130,12 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
     # its length, so only MIRROR tests necklaces, for a bracelet, against
     # the rotations of their mirror image. Each tall word still missing
     # needs h + 1 vertices: once even a tall word of this size would leave
-    # too few, no larger size fits, and while only a tall word fits, only
-    # the tall words are walked. The last of `most` words takes all the
-    # vertices left. Height 0 is walked even for a budget under 2, so the
-    # walk also covers the smallest trees: a budget of 0 yields the empty
-    # list, the single vertex with no branch, and the single edge is the
-    # pair "()" "()" of a budget of 2, its two one-vertex halves.
+    # too few, no larger size fits. Words come a height group at a time: h
+    # alone while only a tall word fits, else 0..h, none over size - 1. The
+    # last of `most` words takes all the vertices left. Height 0 is walked
+    # even for a budget under 2, so the walk also covers the smallest trees:
+    # a budget of 0 yields the empty list, the branchless single vertex, and
+    # the single edge is the pair "()" "()" of a budget of 2, its halves.
     mirror = mode is EquivalenceMode.MIRROR
     for h in range(max(budget // 2, 1)):
         stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
@@ -158,11 +150,12 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[tuple[
                 spare = left - size
                 if (1 - tall) * (h + 1) > spare:
                     break
-                pool, heights = (_tall_pool if (2 - tall) * (h + 1) > spare else _pool)(size, h)
-                for word, height in zip(pool, heights):
-                    if word >= back:
-                        step = p if word == back else len(words) + 1
-                        stack.append((words + [word], step, spare, tall + (height == h)))
+                for height in (h,) if (2 - tall) * (h + 1) > spare else range(min(h, size - 1) + 1):
+                    now = tall + (height == h)
+                    for word in _pool(size, height):
+                        if word >= back:
+                            step = p if word == back else len(words) + 1
+                            stack.append((words + [word], step, spare, now))
 
 
 def _center_codes(vertices: int, mode: EquivalenceMode, limit: int | None) -> list[str]:

@@ -126,7 +126,8 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[s
     # `budget` vertices' worth of branch words, at most `most` of them and
     # two or more of the top height h, is kept iff its join is its own
     # least rotation; lists of `most` words that leave vertices over are
-    # walked to and dropped
+    # walked to and dropped. Words come from `_pool` a height group at a
+    # time, lowest first, so the lists come out in the walk's order
     for h in range(budget // 2):
         stack: list[tuple[list[str], int, int, int]] = [([], 1, budget, 0)]
         while stack:
@@ -139,8 +140,9 @@ def _necklaces(budget: int, most: int, mode: EquivalenceMode) -> Iterator[list[s
                 continue
             back = words[-p] if words else ""
             for size in range(1, left + 1):
-                for word, height in zip(*_pool(size, min(h, budget - 1 - size))):
+                for height in range(min(h, budget - 1 - size) + 1):
                     now = tall + (height == h)
-                    if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
-                        step = p if word == back else len(words) + 1
-                        stack.append((words + [word], step, left - size, now))
+                    for word in _pool(size, height):
+                        if word >= back and max(0, 2 - now) * (h + 1) <= left - size:
+                            step = p if word == back else len(words) + 1
+                            stack.append((words + [word], step, left - size, now))

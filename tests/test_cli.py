@@ -231,6 +231,22 @@ class TestEnumerate:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"(())\n()()\n", b"")
 
+    def test_out_dev_stdout_appends_to_stdouts_file(self, tmp_path):
+        # as `plane-forest enumerate --edges 2 --out /dev/stdout >> log.txt`:
+        # stdout's own file is appended to, not replaced by a temp file
+        log = tmp_path / "log.txt"
+        log.write_text("first line\n")
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        with open(log, "a") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert log.read_text() == "first line\n(())\n()()\n"
+        assert list(tmp_path.iterdir()) == [log]
+
     def test_no_partial_file_on_error(self, capsys, tmp_path):
         target = tmp_path / "never.txt"
         code, _, err = run(
@@ -305,6 +321,25 @@ class TestFlows:
         assert code == 0 and out.splitlines()[0] == "14"
         assert len(out.splitlines()) == (15 if listed else 1)
         assert len(calls) == (1 if listed else 0)
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("oriented", "d1636eb33305cec16d18c7e79b8ba848018256334f68a70ffada7cfbb9813204"),
+        ("mirror", "ca63f071501f6ff66717f7d0be18c39dd6b33f041710af68c70e301478111e91"),
+    ], ids=["oriented", "mirror"])
+    def test_list_twelve_saddles_frozen(self, capsys, mode, digest):
+        code, out, _ = run(capsys, "flows", "--saddles", "12", "--max-vertices", "13", "--list", "--mode", mode)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["oriented", "mirror"])
+    def test_list_records_are_the_catalog(self, capsys, mode):
+        # one record per class of S + 1 vertices, in catalog order
+        for saddles in range(12):
+            code, out, _ = run(capsys, "flows", "--saddles", str(saddles), "--list", "--mode", mode)
+            count, *records = out.splitlines()
+            _, catalog, _ = run(capsys, "enumerate", "--vertices", str(saddles + 1), "--mode", mode)
+            head = f"sources={saddles + 1} saddles={saddles} sinks=1 tree="
+            assert code == 0 and int(count) == len(records)
+            assert records == [head + line for line in catalog.splitlines()]
 
     def test_mode_flag(self, capsys):
         code, out, _ = run(capsys, "flows", "--saddles", "7", "--mode", "mirror")
@@ -768,8 +803,8 @@ class TestContract:
     @pytest.mark.parametrize(
         "argv, unbuffered",
         [(["enumerate", "--edges", "12"], None), (["enumerate", "--vertices", "12"], None),
-         (["verify", "--max-vertices", "10"], "1")],
-        ids=["--edges", "--vertices", "verify"],
+         (["verify", "--max-vertices", "10"], "1"), (["enumerate", "--edges", "12", "--out", "/dev/stdout"], None)],
+        ids=["--edges", "--vertices", "verify", "--out /dev/stdout"],
     )
     def test_reader_closing_stdout_ends_quietly(self, argv, unbuffered):
         # as `plane-forest enumerate --edges 12 | head -1`: the reader takes
@@ -791,6 +826,31 @@ class TestContract:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert first.strip() and err == b""
+
+    def test_reader_closing_an_out_fifo_ends_quietly(self, tmp_path):
+        # as a reader that takes 10 bytes of an --out FIFO and closes it:
+        # the output ends as it does on stdout, with exit 0 and no message
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "12", "--out", str(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        got = []
+
+        def read_ten_bytes():
+            with open(fifo, "rb") as reader:
+                got.append(reader.read(10))
+
+        reader = threading.Thread(target=read_ten_bytes, daemon=True)
+        reader.start()
+        out, err = proc.communicate(timeout=60)
+        reader.join(timeout=10)
+        assert (proc.returncode, out, err) == (0, b"", b"")
+        assert got == [b"(" * 10]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(

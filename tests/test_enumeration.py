@@ -22,6 +22,7 @@ from plane_forest import (
     enumerate_plane_center,
     enumerate_plane_oracle,
     enumerate_rooted,
+    iter_dyck_codes,
     reconcile_counts,
 )
 from plane_forest import canonical, enumeration
@@ -105,6 +106,15 @@ class TestNecklaceWalk:
             walked = list(enumeration._necklaces(budget, most, mode))
             assert [words for _, words in walked] == list(reference_necklaces(budget, most, mode))
             assert all(_height_of("".join(words)) == h + 1 for h, words in walked)
+
+    def test_pool_is_the_branch_words_of_one_height(self):
+        # one group per exact height, in word order; a size's groups hold
+        # every rooted tree of that size once
+        for v in range(1, 12):
+            for h in range(v):
+                words = tuple(f"({c})" for c in iter_dyck_codes(v - 1) if decode(c).height == h)
+                assert enumeration._pool(v, h) == words
+            assert sum(len(enumeration._pool(v, h)) for h in range(v)) == count_rooted(v - 1)
 
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
     def test_covers_the_smallest_sizes(self, mode):

@@ -172,6 +172,25 @@ def test_import_needs_no_dataclasses():
     assert out.stdout == "[]\n"
 
 
+PUBLIC_NAMES = [
+    "CLAIMED_FLOWS", "CLAIMED_PLANE", "CLAIMED_ROOTED", "CenterGluingSpec", "CenterResult", "Centrality",
+    "DEFAULT_MAX_EDGES", "Disconnected", "EquivalenceMode", "HasCycle", "LimitExceeded", "MalformedCode",
+    "MorseFlow", "PlaneForestError", "PlaneTree", "ReconcileReport", "ReconcileRow", "RenderSpec",
+    "RootedPlaneTree", "assemble", "canonical_plane", "catalog_json", "catalog_text", "center", "count_flows",
+    "count_plane", "count_rooted", "decode", "encode", "enumerate_flows", "enumerate_plane_center",
+    "enumerate_plane_oracle", "enumerate_rooted", "flow_from_tree", "flow_record", "is_isomorphic",
+    "iter_dyck_codes", "max_rooted_edges", "reconcile_counts", "reflect", "render", "render_ascii",
+    "render_dot", "render_svg", "rerooting_oracle_canon", "rooted_codes", "rooted_representatives",
+    "rotation_system", "validate_flow_graph",
+]
+
+
+def test_public_names_are_pinned():
+    # the public API is these 49 names, sorted, each one bound
+    assert plane_forest.__all__ == PUBLIC_NAMES and len(PUBLIC_NAMES) == 49
+    assert all(getattr(plane_forest, name, None) is not None for name in PUBLIC_NAMES)
+
+
 def cli_output(*argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
