@@ -1,10 +1,11 @@
 """Command-line surface: count, enumerate, flows, verify, render.
 
 Exit codes: 0 success, 1 usage or input error, 2 internal verification
-mismatch. `--out` replaces a file whole, but appends to stdout's own
-file and writes a FIFO or a device in place; a reader that closes any of
-them or stdout early ends the output with exit 0 and no message. Output
-is deterministic; identical invocations produce identical bytes.
+mismatch. `--out` replaces a file whole, but appends to a file already
+open on a descriptor (stdout's, stderr's, `/dev/fd/N`'s) and writes a
+FIFO or a device in place; a reader that closes any of them or stdout
+early ends the output with exit 0 and no message. Output is
+deterministic; identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from .enumeration import (
     _catalog,
     _center_codes,
     _cross_check,
+    _listing,
     _rooted_listing,
     count_plane,
     reconcile_counts,
 )
 from .errors import LimitExceeded, PlaneForestError
-from .morse import count_flows, enumerate_flows, flow_record
+from .morse import _record_head, count_flows
 from .render import FORMATS, LAYOUTS, RenderSpec, render
 from .trees import EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
 from .canonical import rerooting_oracle_canon
@@ -42,16 +44,18 @@ def _file_mode(path: str) -> int | None:
     # the permissions open(path, "w") gives: an existing file keeps its
     # own, a new one gets 0o666 less the umask (mkstemp's are owner-only);
     # None for a target that exists and is not a regular file, or that is
-    # stdout's own file (a closed stdout has none)
+    # open on a descriptor /dev/fd lists (a closed one has no file, and the
+    # listing's own is closed by then); fd 1 alone where there is no /dev/fd
     try:
         st = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
-    with suppress(OSError):
-        if os.path.samestat(st, os.fstat(1)):
-            return None
+    for fd in os.listdir("/dev/fd") if os.path.isdir("/dev/fd") else ["1"]:
+        with suppress(OSError):
+            if os.path.samestat(st, os.fstat(int(fd))):
+                return None
     return stat.S_IMODE(st.st_mode) if stat.S_ISREG(st.st_mode) else None
 
 
@@ -125,8 +129,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_flows(args: argparse.Namespace) -> int:
     mode = EquivalenceMode(args.mode or "oriented")
     if args.list:  # the count line is the length of the list: one enumeration
-        flows = enumerate_flows(args.saddles, mode, limit=args.max_vertices)
-        lines = [f"{len(flows)}\n", *(flow_record(flow) + "\n" for flow in flows)]
+        head = _record_head(args.saddles)  # a negative count fails before any vertex count is checked
+        codes = _center_codes(args.saddles + 1, mode, args.max_vertices)
+        lines = _listing(codes, len(codes), head, "", "flows")
     else:
         lines = [f"{count_flows(args.saddles, mode, limit=args.max_vertices)}\n"]
     _emit(lines, args.out)

@@ -302,29 +302,25 @@ def reconcile_counts() -> ReconcileReport:
     return ReconcileReport(tuple(rows))
 
 
-def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
-    # sep.join(items), a chunk at a time; sep also leads every chunk after the first
-    items, lead = iter(items), ""
-    while chunk := list(islice(items, _CHUNK)):
-        yield lead + sep.join(chunk)
-        lead = sep
-
-
 def _listing(codes: Iterable[str], count: int, header: str, fields: str, fmt: str) -> Iterator[str]:
     # `count` codes in one of the CLI formats, a chunk at a time: "codes"
-    # one a line, "catalog" the same under "# <header> count=<count>", and
+    # one a line, "catalog" the same under "# <header> count=<count>",
+    # "flows" each after the record head `header` under a count line, and
     # "json" as json.dumps(doc, indent=2, sort_keys=True) + "\n", `fields`
     # being the json text of the keys after "count"; no code needs escaping
-    head, start, sep, end, tail = {
+    head, lead, sep, end, tail = {
         "codes": ("", "", "\n", "\n", ""),
         "catalog": (f"# {header} count={count}\n", "", "\n", "\n", ""),
+        "flows": (f"{count}\n", header, "\n" + header, "\n", ""),
         "json": ('{\n  "codes": [', '\n    "', '",\n    "', '"\n  ',
                  f'],\n  "count": {count},\n  {fields}\n}}\n'),
     }[fmt]
     yield head
-    if count:  # nothing between head and tail: json.dumps writes an empty list as []
-        yield from chain([start], _joined(codes, sep), [end])
-    yield tail
+    codes = iter(codes)
+    while chunk := list(islice(codes, _CHUNK)):  # sep leads every chunk after the first
+        yield lead + sep.join(chunk)
+        lead = sep
+    yield (end if count else "") + tail  # no end after no codes: json.dumps writes []
 
 
 def _rooted_listing(edges: int, codes: Iterable[str], fmt: str) -> Iterator[str]:

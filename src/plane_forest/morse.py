@@ -158,9 +158,13 @@ def enumerate_flows(
     ]
 
 
+def _record_head(saddles: int) -> str:
+    # what a flow record with that many saddles holds before its tree's serialized class
+    if saddles < 0:
+        raise ValueError(f"saddle count must be non-negative, got {saddles}")
+    return f"sources={saddles + 1} saddles={saddles} sinks=1 tree="
+
+
 def flow_record(flow: MorseFlow) -> str:
     """One-line report format for a single flow class."""
-    return (
-        f"sources={flow.sources} saddles={flow.saddles} "
-        f"sinks={flow.sinks} tree={flow.separatrices.serialize()}"
-    )
+    return _record_head(flow.saddles) + flow.separatrices.serialize()

@@ -30,6 +30,8 @@ from plane_forest import (
     count_rooted,
     decode,
     encode,
+    enumerate_flows,
+    flow_record,
     iter_dyck_codes,
     reflect,
     render_svg,
@@ -148,12 +150,16 @@ class TestEnumerate:
     @pytest.mark.parametrize("size", [0, 1, 2, 1023, 1024, 1025, 2048, 2049, 5000])
     def test_joined_is_one_join(self, size):
         # chunk edges fall anywhere, and an empty item (the 0-edge code)
-        # still counts as an item
+        # still counts as an item; "codes" joins with "\n", "json" with '",\n    "'
         items = [str(i) if i % 7 else "" for i in range(size)]
-        for sep in ("\n", '",\n    "'):
-            chunks = list(enumeration._joined(iter(items), sep))
-            assert "".join(chunks) == sep.join(items)
-            assert len(chunks) == -(-size // enumeration._CHUNK)
+        doc = {"codes": items, "count": size, "edges": 0}
+        wants = {"codes": "".join(item + "\n" for item in items),
+                 "json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}
+        for fmt, want in wants.items():
+            pieces = list(enumeration._listing(iter(items), size, "", '"edges": 0', fmt))
+            assert "".join(pieces) == want
+            # the head, one piece per chunk, then the end and tail in one
+            assert len(pieces) == 2 + -(-size // enumeration._CHUNK)
 
     def test_rooted_twelve_edges_frozen(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--edges", "12", "--format", "codes")
@@ -247,6 +253,40 @@ class TestEnumerate:
         assert log.read_text() == "first line\n(())\n()()\n"
         assert list(tmp_path.iterdir()) == [log]
 
+    @pytest.mark.parametrize("stderr", [True, False], ids=["--out /dev/stderr", "--out /dev/fd/N"])
+    def test_out_appends_to_a_file_open_on_another_descriptor(self, tmp_path, stderr):
+        # as `--out /dev/stderr 2>> log.txt` and `--out /dev/fd/3 3>> log.txt`:
+        # a file the process already writes through a descriptor is appended
+        # to, not replaced by a temp file
+        log = tmp_path / "log.txt"
+        log.write_text("first line\n")
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        with open(log, "a") as held:
+            out, fds = ("/dev/stderr", ()) if stderr else (f"/dev/fd/{held.fileno()}", (held.fileno(),))
+            proc = subprocess.run(
+                [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", out],
+                stdout=subprocess.PIPE, stderr=held if stderr else subprocess.PIPE, pass_fds=fds,
+                env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        assert log.read_text() == "first line\n(())\n()()\n"
+        assert list(tmp_path.iterdir()) == [log]
+
+    @pytest.mark.parametrize("fd_dir", [True, False], ids=["/dev/fd", "no /dev/fd"])
+    def test_out_replaces_a_regular_file(self, capsys, monkeypatch, tmp_path, fd_dir):
+        # a file no descriptor holds is replaced whole, by a rename, also
+        # where there is no /dev/fd to list the descriptors
+        if not fd_dir:
+            isdir = os.path.isdir
+            monkeypatch.setattr(os.path, "isdir", lambda path: path != "/dev/fd" and isdir(path))
+        target = tmp_path / "codes.txt"
+        target.write_text("stale\n" * 10)
+        before = target.stat().st_ino
+        assert run(capsys, "enumerate", "--edges", "2", "--out", str(target)) == (0, "", "")
+        assert target.read_text() == "(())\n()()\n" and target.stat().st_ino != before
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_no_partial_file_on_error(self, capsys, tmp_path):
         target = tmp_path / "never.txt"
         code, _, err = run(
@@ -307,20 +347,32 @@ class TestFlows:
 
     @pytest.mark.parametrize("listed", [False, True])
     def test_catalog_is_enumerated_once(self, capsys, monkeypatch, listed):
-        # with --list the count line is the length of the list; without it
-        # the count comes from the gluing walk, and no catalog is built
-        glue, calls = plane_forest.enumerate_plane_center, []
+        # with --list the count line is the length of the sorted codes, and
+        # no class is built; without it the count comes from the gluing walk
+        glue, calls = enumeration._center_codes, []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return glue(*args, **kwargs)
+            return glue(*args)
 
-        monkeypatch.setattr("plane_forest.enumeration.enumerate_plane_center", counted)
-        monkeypatch.setattr("plane_forest.morse.enumerate_plane_center", counted)
+        def never(*args, **kwargs):
+            raise AssertionError("flows built the plane classes")
+
+        monkeypatch.setattr(cli, "_center_codes", counted)
+        monkeypatch.setattr("plane_forest.enumeration.enumerate_plane_center", never)
+        monkeypatch.setattr("plane_forest.morse.enumerate_plane_center", never)
         code, out, _ = run(capsys, "flows", "--saddles", "6", *(["--list"] if listed else []))
         assert code == 0 and out.splitlines()[0] == "14"
         assert len(out.splitlines()) == (15 if listed else 1)
         assert len(calls) == (1 if listed else 0)
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("oriented", "0cf4b07ad44b9df945a54dcaff5213baa7891591dc419d686391cb5b20c55208"),
+        ("mirror", "c97954f2be0a5c0ddb428c00ec19d91b63ce7631f712fd7c46a910289478103d"),
+    ], ids=["oriented", "mirror"])
+    def test_list_thirteen_saddles_frozen(self, capsys, mode, digest):
+        code, out, _ = run(capsys, "flows", "--saddles", "13", "--max-vertices", "14", "--list", "--mode", mode)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("mode, digest", [
         ("oriented", "d1636eb33305cec16d18c7e79b8ba848018256334f68a70ffada7cfbb9813204"),
@@ -332,7 +384,8 @@ class TestFlows:
 
     @pytest.mark.parametrize("mode", ["oriented", "mirror"])
     def test_list_records_are_the_catalog(self, capsys, mode):
-        # one record per class of S + 1 vertices, in catalog order
+        # one record per class of S + 1 vertices, in catalog order, each the
+        # library's record of the library's flow
         for saddles in range(12):
             code, out, _ = run(capsys, "flows", "--saddles", str(saddles), "--list", "--mode", mode)
             count, *records = out.splitlines()
@@ -340,6 +393,7 @@ class TestFlows:
             head = f"sources={saddles + 1} saddles={saddles} sinks=1 tree="
             assert code == 0 and int(count) == len(records)
             assert records == [head + line for line in catalog.splitlines()]
+            assert records == [flow_record(flow) for flow in enumerate_flows(saddles, EquivalenceMode(mode))]
 
     def test_mode_flag(self, capsys):
         code, out, _ = run(capsys, "flows", "--saddles", "7", "--mode", "mirror")
@@ -347,6 +401,9 @@ class TestFlows:
 
     def test_invalid(self, capsys):
         assert run(capsys, "flows", "--saddles", "-1")[0] == 1
+        # the saddle count is checked before the vertex count it gives
+        want = (1, "", "error: saddle count must be non-negative, got -1\n")
+        assert run(capsys, "flows", "--saddles", "-1", "--list") == want
         assert run(capsys, "flows")[0] == 1
 
 
