@@ -42,10 +42,10 @@ from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _Frozen,
-    _MIRROR,
     _corner_codes,
     _factors,
     _height_of,
+    _mirror,
     _preorder,
     _tree_of,
     decode,
@@ -226,7 +226,7 @@ def _least_rotation(words: Sequence[str], mode: EquivalenceMode) -> str:
     cuts = list(accumulate(map(len, words[:-1]), initial=0))
     joins = [(code + code, cuts)]
     if mode is EquivalenceMode.MIRROR:
-        image = code[::-1].translate(_MIRROR)
+        image = _mirror(code)
         joins.append((image + image, [n - cut for cut in cuts]))
     return min(doubled[cut : cut + n] for doubled, starts in joins for cut in starts)
 
@@ -250,7 +250,7 @@ def _least_bicentral(a: str, b: str, height: int, mode: EquivalenceMode) -> str:
         if y.startswith(run):
             codes.append("(" + y + ")" + x)
         if mirror and y.endswith(close):
-            codes.append((x + "(" + y + ")")[::-1].translate(_MIRROR))
+            codes.append(_mirror(x + "(" + y + ")"))
     if codes:
         return min(codes)
     return min(_least_rotation(_factors(x) + ["(" + y + ")"], mode) for x, y in ((a, b), (b, a)))

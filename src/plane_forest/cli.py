@@ -29,7 +29,7 @@ from .enumeration import (
     reconcile_counts,
 )
 from .errors import LimitExceeded, PlaneForestError
-from .morse import _record_head, count_flows
+from .morse import _record_head, _sources, count_flows
 from .render import FORMATS, LAYOUTS, RenderSpec, render
 from .trees import EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
 from .canonical import rerooting_oracle_canon
@@ -49,6 +49,8 @@ def _file_mode(path: str) -> int | None:
     try:
         st = os.stat(path)
     except FileNotFoundError:
+        if not path:  # names no file, though realpath("") is the working directory
+            raise
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
@@ -129,9 +131,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_flows(args: argparse.Namespace) -> int:
     mode = EquivalenceMode(args.mode or "oriented")
     if args.list:  # the count line is the length of the list: one enumeration
-        head = _record_head(args.saddles)  # a negative count fails before any vertex count is checked
-        codes = _center_codes(args.saddles + 1, mode, args.max_vertices)
-        lines = _listing(codes, len(codes), head, "", "flows")
+        codes = _center_codes(_sources(args.saddles), mode, args.max_vertices)  # a negative count fails first
+        lines = _listing(codes, len(codes), _record_head(args.saddles), "", "flows")
     else:
         lines = [f"{count_flows(args.saddles, mode, limit=args.max_vertices)}\n"]
     _emit(lines, args.out)

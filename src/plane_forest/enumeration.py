@@ -42,9 +42,9 @@ from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
     _Frozen,
-    _MIRROR,
     _dyck_codes,
     _height_of,
+    _mirror,
     _tree_of,
     count_rooted,
     encode,
@@ -112,7 +112,7 @@ def _bracelet(words: list[str]) -> bool:
     # image, cut at the image's word boundaries; it is its own least
     # rotation already
     code = "".join(words)
-    image = code[::-1].translate(_MIRROR)
+    image = _mirror(code)
     doubled, n, cut = image + image, len(code), 0
     for word in reversed(words):
         if doubled[cut : cut + n] < code:
@@ -220,7 +220,7 @@ def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[Equivale
     for code, (oriented, mirror) in _brute_forms(slow):
         form = slow[code]
         pairs[EquivalenceMode.ORIENTED].add((oriented, form))
-        pairs[EquivalenceMode.MIRROR].add((mirror, min(form, slow.get(code[::-1].translate(_MIRROR), form))))
+        pairs[EquivalenceMode.MIRROR].add((mirror, min(form, slow.get(_mirror(code), form))))
     covered = len(slow) == count_rooted(vertices - 1)
     for mode, found in pairs.items():
         glued = _center_codes(vertices, mode, None)

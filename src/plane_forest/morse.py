@@ -12,8 +12,9 @@ everything here is purely combinatorial: no vector fields are integrated.
 
 Index arithmetic pins the counts: sources - saddles + sinks equals the
 Euler characteristic 2 of the sphere, so a flow with k saddles has k + 1
-sources. `validate_flow_graph` reads the rotation system as one code, in
-one walk round the contour from vertex 0.
+sources; `_sources` is the one place that adds that 1 and rejects a
+negative saddle count. `validate_flow_graph` reads the rotation system
+as one code, in one walk round the contour from vertex 0.
 """
 
 from __future__ import annotations
@@ -130,6 +131,13 @@ def validate_flow_graph(
     return flow_from_tree(_plane_tree_of(_contour_code(adj, 0), mode))
 
 
+def _sources(saddles: int) -> int:
+    # the sources of a one-sink flow with that many saddles, by the index sum
+    if saddles < 0:
+        raise ValueError(f"saddle count must be non-negative, got {saddles}")
+    return saddles + 1
+
+
 def count_flows(
     saddles: int,
     mode: EquivalenceMode = EquivalenceMode.ORIENTED,
@@ -137,10 +145,8 @@ def count_flows(
     limit: int | None = None,
 ) -> int:
     """Topological-equivalence classes of one-sink flows with that many
-    saddles; equals the plane-tree count on saddles + 1 vertices."""
-    if saddles < 0:
-        raise ValueError(f"saddle count must be non-negative, got {saddles}")
-    return count_plane(saddles + 1, mode, limit=limit)
+    saddles; equals the plane-tree count with one vertex per source."""
+    return count_plane(_sources(saddles), mode, limit=limit)
 
 
 def enumerate_flows(
@@ -150,19 +156,12 @@ def enumerate_flows(
     limit: int | None = None,
 ) -> list[MorseFlow]:
     """All flow classes with the given saddle count, in catalog order."""
-    if saddles < 0:
-        raise ValueError(f"saddle count must be non-negative, got {saddles}")
-    return [
-        flow_from_tree(tree)
-        for tree in enumerate_plane_center(saddles + 1, mode, limit=limit)
-    ]
+    return [flow_from_tree(tree) for tree in enumerate_plane_center(_sources(saddles), mode, limit=limit)]
 
 
 def _record_head(saddles: int) -> str:
     # what a flow record with that many saddles holds before its tree's serialized class
-    if saddles < 0:
-        raise ValueError(f"saddle count must be non-negative, got {saddles}")
-    return f"sources={saddles + 1} saddles={saddles} sinks=1 tree="
+    return f"sources={_sources(saddles)} saddles={saddles} sinks=1 tree="
 
 
 def flow_record(flow: MorseFlow) -> str:

@@ -5,8 +5,8 @@ a linear (left-to-right) order. Trees with n edges are in bijection with
 balanced parenthesis strings of length 2n, one matched pair per edge, and
 that string is the storage, hashing and ordering format used everywhere in
 this package. `_preorder` is the one preorder scan of a code, read by
-`render` and `canonical.rotation_system`. `_Frozen` is the base of the
-package's immutable value classes.
+`render` and `canonical.rotation_system`; `_mirror` is the one reflection
+of a code. `_Frozen` is the base of the package's immutable value classes.
 """
 
 from __future__ import annotations
@@ -137,11 +137,15 @@ def reflect(tree: RootedPlaneTree) -> RootedPlaneTree:
     A planar reflection flips all cyclic orders at once, so reversing only
     at the root would not model it.
     """
-    return _tree_of(tree._code[::-1].translate(_MIRROR))
+    return _tree_of(_mirror(tree._code))
 
 
-#: Reversing a code and swapping its parentheses reflects the tree.
 _MIRROR = str.maketrans("()", ")(")
+
+
+def _mirror(code: str) -> str:
+    # reversing a code and swapping its parentheses reflects the tree
+    return code[::-1].translate(_MIRROR)
 
 
 def _height_of(code: str) -> int:

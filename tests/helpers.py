@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from plane_forest import EquivalenceMode, RootedPlaneTree
 from plane_forest.enumeration import _pool
-from plane_forest.trees import _MIRROR, _factors
+from plane_forest.trees import _factors, _mirror
 
 
 def tree_strategy(max_leaves: int = 24) -> st.SearchStrategy[RootedPlaneTree]:
@@ -109,7 +109,7 @@ def _least_rotation(words: list[str], mode: EquivalenceMode) -> str:
     # mirror images, in MIRROR mode), as the least word list
     orders = [words]
     if mode is EquivalenceMode.MIRROR:
-        orders.append([word[::-1].translate(_MIRROR) for word in reversed(words)])
+        orders.append([_mirror(word) for word in reversed(words)])
     return "".join(min(ws[s:] + ws[:s] for ws in orders for s in range(len(ws) or 1)))
 
 

@@ -307,6 +307,29 @@ class TestEnumerate:
             assert err == f"error: [Errno {number}] {os.strerror(number)}: '{target}'\n"
         assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
 
+    def test_out_empty_path_is_an_error(self, capsys, monkeypatch, tmp_path):
+        # an empty path names no file, though realpath("") is the working
+        # directory: exit 1 with the one-line ENOENT error, and no temp file
+        # is made in the working directory's parent
+        work = tmp_path / "work"
+        work.mkdir()
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", ""],
+            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == [work] and list(work.iterdir()) == []
+
+        def mkstemp(**kwargs):
+            raise AssertionError(f"a temp file was made in {kwargs['dir']}")
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+        want = (1, "", "error: [Errno 2] No such file or directory: ''\n")
+        assert run(capsys, "flows", "--saddles", "3", "--list", "--out", "") == want
+
     @pytest.mark.parametrize("fmt", ["codes", "catalog", "json"])
     @pytest.mark.parametrize("env_cap, edges", [(None, "17"), ("2", "3")])
     def test_refused_rooted_cap_leaves_nothing(
@@ -400,9 +423,9 @@ class TestFlows:
         assert code == 0 and out == "27\n"
 
     def test_invalid(self, capsys):
-        assert run(capsys, "flows", "--saddles", "-1")[0] == 1
         # the saddle count is checked before the vertex count it gives
         want = (1, "", "error: saddle count must be non-negative, got -1\n")
+        assert run(capsys, "flows", "--saddles", "-1") == want
         assert run(capsys, "flows", "--saddles", "-1", "--list") == want
         assert run(capsys, "flows")[0] == 1
 

@@ -19,6 +19,7 @@ from plane_forest import (
     flow_record,
     validate_flow_graph,
 )
+from plane_forest.morse import _record_head
 
 from helpers import random_cyclic_multigraph, random_tree_edges, tree_strategy
 
@@ -190,8 +191,10 @@ class TestCountFlows:
                 assert count_flows(saddles, mode) == count_plane(saddles + 1, mode)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            count_flows(-1)
+        # one check and one message, wherever a saddle count comes in
+        for call in count_flows, enumerate_flows, _record_head:
+            with pytest.raises(ValueError, match=r"^saddle count must be non-negative, got -1$"):
+                call(-1)
 
 
 class TestFlowRecord:

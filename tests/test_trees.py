@@ -17,7 +17,7 @@ from plane_forest import (
     reflect,
     rooted_codes,
 )
-from plane_forest.trees import MAX_EDGES_ENV, _dyck_codes
+from plane_forest.trees import MAX_EDGES_ENV, _dyck_codes, _mirror
 
 from helpers import tree_strategy
 
@@ -228,6 +228,12 @@ class TestReflect:
     @given(tree_strategy())
     def test_involution(self, tree):
         assert reflect(reflect(tree)) == tree
+
+    def test_mirror_is_the_code_of_the_reflection(self):
+        for edges in range(9):
+            for code in iter_dyck_codes(edges):
+                assert _mirror(code) == encode(reflect(decode(code)))
+                assert _mirror(_mirror(code)) == code
 
     @given(tree_strategy())
     def test_preserves_shape_numbers(self, tree):
