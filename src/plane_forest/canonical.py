@@ -72,7 +72,7 @@ class CenterResult(_Frozen):
     _fields = ("centers", "radius")
 
     def __init__(self, centers: tuple[int, ...], radius: int) -> None:
-        self.__dict__.update(centers=centers, radius=radius, _key=(centers, radius))
+        self._store(centers, radius)
 
 
 class PlaneTree(_Frozen):
@@ -89,7 +89,7 @@ class PlaneTree(_Frozen):
         _check_mode(mode)
         _check_centrality(centrality)
         _height_of(canon)  # raises MalformedCode on bad input
-        self.__dict__.update(canon=canon, mode=mode, centrality=centrality, _key=(canon, mode, centrality))
+        self._store(canon, mode, centrality)
 
     @property
     def edge_count(self) -> int:
@@ -122,7 +122,7 @@ class PlaneTree(_Frozen):
 def _plane_tree(canon: str, mode: EquivalenceMode, centrality: Centrality) -> PlaneTree:
     # a PlaneTree from fields known to be sound, without checking them again
     tree = object.__new__(PlaneTree)
-    tree.__dict__.update(canon=canon, mode=mode, centrality=centrality, _key=(canon, mode, centrality))
+    tree._store(canon, mode, centrality)
     return tree
 
 

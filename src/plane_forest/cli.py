@@ -2,15 +2,18 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 internal verification
 mismatch. `--out` replaces a file whole, but appends to a file already
-open on a descriptor (stdout's, stderr's, `/dev/fd/N`'s) and writes a
-FIFO or a device in place; a reader that closes any of them or stdout
-early ends the output with exit 0 and no message. Output is
+open for writing on a descriptor (stdout's, stderr's, `/dev/fd/N`'s; not
+stdin's, as in `--out f < f`) and writes a FIFO or a device in place; a
+reader that closes any of them or stdout early ends the output with exit
+0 and no message, and a closed stdout is an error (EBADF). Output is
 deterministic; identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import fcntl
 import os
 import stat
 import sys
@@ -43,9 +46,9 @@ _COUNT_MAX_EDGES = 7152
 def _file_mode(path: str) -> int | None:
     # the permissions open(path, "w") gives: an existing file keeps its
     # own, a new one gets 0o666 less the umask (mkstemp's are owner-only);
-    # None for a target that exists and is not a regular file, or that is
-    # open on a descriptor /dev/fd lists (a closed one has no file, and the
-    # listing's own is closed by then); fd 1 alone where there is no /dev/fd
+    # None for a target that exists and is not a regular file, or that a
+    # descriptor /dev/fd lists holds open for writing (a closed one has no
+    # file, and the listing's own is closed by then); fd 1 where there is none
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -54,9 +57,9 @@ def _file_mode(path: str) -> int | None:
         umask = os.umask(0)
         os.umask(umask)
         return 0o666 & ~umask
-    for fd in os.listdir("/dev/fd") if os.path.isdir("/dev/fd") else ["1"]:
+    for fd in map(int, os.listdir("/dev/fd") if os.path.isdir("/dev/fd") else ["1"]):
         with suppress(OSError):
-            if os.path.samestat(st, os.fstat(int(fd))):
+            if os.path.samestat(st, os.fstat(fd)) and fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE:
                 return None
     return stat.S_IMODE(st.st_mode) if stat.S_ISREG(st.st_mode) else None
 
@@ -64,6 +67,9 @@ def _file_mode(path: str) -> int | None:
 def _emit(lines: Iterable[str], out: str | None) -> None:
     # a new or regular file gets its full content in a sibling temp file renamed
     # into place, so a failure mid-run never leaves a partial output file
+    if out is None and sys.stdout is None:
+        # Python sets sys.stdout to None when it starts with fd 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     mode = None if out is None else _file_mode(out)
     if mode is None:
         # stdout, its own file, a FIFO or a device is written in place;

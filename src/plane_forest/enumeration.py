@@ -88,7 +88,7 @@ class CenterGluingSpec(_Frozen):
                 raise ValueError("half vertex counts must sum to target_vertices")
             if heights[0] != heights[1]:
                 raise ValueError("the two halves must have equal height")
-        self.__dict__.update(kind=kind, parts=parts, target_vertices=target_vertices, _key=(kind, parts, target_vertices))
+        self._store(kind, parts, target_vertices)
 
 
 def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
@@ -256,9 +256,7 @@ class ReconcileRow(_Frozen):
     _fields = ("kind", "parameter", "claimed", "computed_oriented", "computed_mirror")
 
     def __init__(self, kind: str, parameter: int, claimed: int, computed_oriented: int, computed_mirror: int) -> None:
-        key = kind, parameter, claimed, computed_oriented, computed_mirror
-        self.__dict__.update(kind=kind, parameter=parameter, claimed=claimed, computed_oriented=computed_oriented,
-                             computed_mirror=computed_mirror, _key=key)
+        self._store(kind, parameter, claimed, computed_oriented, computed_mirror)
 
     @property
     def matches(self) -> bool:
@@ -269,7 +267,7 @@ class ReconcileReport(_Frozen):
     _fields = ("rows",)
 
     def __init__(self, rows: tuple[ReconcileRow, ...]) -> None:
-        self.__dict__.update(rows=rows, _key=(rows,))
+        self._store(rows)
 
     @property
     def mismatches(self) -> tuple[ReconcileRow, ...]:

@@ -43,8 +43,7 @@ class MorseFlow(_Frozen):
             raise ValueError("separatrix tree must have one vertex per source")
         if separatrices.edge_count != saddles:
             raise ValueError("separatrix tree must have one edge per saddle")
-        key = sources, saddles, sinks, separatrices
-        self.__dict__.update(sources=sources, saddles=saddles, sinks=sinks, separatrices=separatrices, _key=key)
+        self._store(sources, saddles, sinks, separatrices)
 
 
 def flow_from_tree(tree: PlaneTree) -> MorseFlow:

@@ -22,7 +22,7 @@ class RenderSpec(_Frozen):
     def __init__(self, format: str, layout: str, code: str) -> None:
         _check_choice("format", format, FORMATS)
         _check_choice("layout", layout, LAYOUTS)
-        self.__dict__.update(format=format, layout=layout, code=code, _key=(format, layout, code))
+        self._store(format, layout, code)
 
 
 def _check_choice(name: str, value: str, choices: tuple[str, ...]) -> None:

@@ -41,11 +41,14 @@ class EquivalenceMode(Enum):
 class _Frozen:
     """An immutable value over the attributes named in `_fields`, with the
     equality, hashing, `repr` and `__match_args__` of a frozen dataclass.
-    A subclass's `__init__` stores the fields, and their tuple as `_key`,
-    with one `self.__dict__.update`, which `pickle` and `copy` restore."""
+    `_store` is the one place a value's fields, and their tuple as `_key`,
+    are kept, in the `__dict__` that `pickle` and `copy` restore."""
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls._fields
+
+    def _store(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values, strict=True), _key=values)
 
     def __eq__(self, other: object) -> bool:
         return self._key == other._key if other.__class__ is self.__class__ else NotImplemented

@@ -273,6 +273,25 @@ class TestEnumerate:
         assert log.read_text() == "first line\n(())\n()()\n"
         assert list(tmp_path.iterdir()) == [log]
 
+    @pytest.mark.parametrize("stdin", [True, False], ids=["< f", "N< f"])
+    def test_out_replaces_a_file_open_only_for_reading(self, tmp_path, stdin):
+        # as `--out f < f` and `--out f 3< f`: a descriptor that only reads
+        # the file is not an in-place target, so the file is replaced whole
+        target = tmp_path / "f"
+        target.write_text("old\n")
+        before = target.stat().st_ino
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        with open(target) as held:
+            proc = subprocess.run(
+                [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", str(target)],
+                stdin=held if stdin else subprocess.DEVNULL, pass_fds=() if stdin else (held.fileno(),),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_text() == "(())\n()()\n" and target.stat().st_ino != before
+        assert list(tmp_path.iterdir()) == [target]
+
     @pytest.mark.parametrize("fd_dir", [True, False], ids=["/dev/fd", "no /dev/fd"])
     def test_out_replaces_a_regular_file(self, capsys, monkeypatch, tmp_path, fd_dir):
         # a file no descriptor holds is replaced whole, by a rename, also
@@ -906,6 +925,30 @@ class TestContract:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert first.strip() and err == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("count", "--edges", "3"), ("enumerate", "--edges", "3"), ("flows", "--saddles", "3"), ("verify",),
+         ("render", "--code", "()")],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_is_one_error_line(self, capsys, monkeypatch, argv):
+        # as `plane-forest count --edges 3 >&-`: Python starts with fd 1
+        # closed and sys.stdout None, so the output has nowhere to go
+        ebadf = "error: [Errno 9] Bad file descriptor\n"
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", None)
+            code = main(list(argv))
+        assert (code, *capsys.readouterr()) == (1, "", ebadf)
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        child = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "plane_forest.cli", *argv]
+        proc = subprocess.run(child, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (1, ebadf.encode())
+        if argv[0] not in ("count", "verify"):
+            # --out /dev/stdout then names no file
+            proc = subprocess.run([*child, "--out", "/dev/stdout"], stderr=subprocess.PIPE, env=env, timeout=60)
+            assert (proc.returncode, proc.stderr) == (1, b"error: [Errno 2] No such file or directory: '/dev/stdout'\n")
 
     def test_reader_closing_an_out_fifo_ends_quietly(self, tmp_path):
         # as a reader that takes 10 bytes of an --out FIFO and closes it:

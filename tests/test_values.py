@@ -97,6 +97,20 @@ class TestLikeTheDataclass:
                 delattr(value, name)
         assert value == build(cls, first)
 
+    def test_dict_holds_the_fields_and_their_key(self, cls, first, second):
+        # what pickle and copy keep: the fields in `_fields` order, then their
+        # tuple as `_key`; a RootedPlaneTree keeps its code, and its height
+        # once it is cached
+        value = build(cls, first)
+        if cls is RootedPlaneTree:
+            assert vars(value) == {"_code": first[0]}
+            assert value.height and vars(value) == {"_code": first[0], "height": value.height}
+            return
+        # a PlaneTree from canonical_plane is stored without the checks
+        for built in [value] + ([canonical_plane(decode(first[0]), first[1])] if cls is PlaneTree else []):
+            assert list(vars(built)) == [*cls._fields, "_key"]
+            assert built._key == tuple(getattr(built, name) for name in cls._fields) == first
+
     def test_pickle_and_deepcopy(self, cls, first, second):
         value = build(cls, first)
         for other in pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value):
