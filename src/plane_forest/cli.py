@@ -71,25 +71,25 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
         # Python sets sys.stdout to None when it starts with fd 1 closed
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     mode = None if out is None else _file_mode(out)
-    if mode is None:
-        # stdout, its own file, a FIFO or a device is written in place;
-        # append mode keeps what a `>>` redirection already holds
-        try:
-            with nullcontext(sys.stdout) if out is None else open(out, "a", encoding="utf-8") as handle:
-                handle.writelines(lines)
-                handle.flush()
-        except BrokenPipeError:
-            # the reader stopped early, which ends the stream but is no
-            # error; stdout goes to devnull, so a flush of what is still
-            # buffered at interpreter exit cannot raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        return
-    # a symlink is written through, as open(out, "w") would, not replaced
-    target = os.path.realpath(out)
     tmp = ""
     try:
+        if mode is None:
+            # stdout, its own file, a FIFO or a device is written in place;
+            # append mode keeps what a `>>` redirection already holds
+            try:
+                with nullcontext(sys.stdout) if out is None else open(out, "a", encoding="utf-8") as handle:
+                    handle.writelines(lines)
+                    handle.flush()
+            except BrokenPipeError:
+                # the reader stopped early, which ends the stream but is no
+                # error; stdout goes to devnull, so a flush of what is still
+                # buffered at interpreter exit cannot raise again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            return
+        # a symlink is written through, as open(out, "w") would, not replaced
+        target = os.path.realpath(out)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".plane-forest-")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.chmod(tmp, mode)
@@ -98,8 +98,9 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     except BaseException as exc:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            # the temp file is hidden from the user, who named `out`
+        if isinstance(exc, OSError) and out is not None:
+            # the user named `out`: not the hidden temp file, and a failed
+            # write names no file at all
             raise OSError(exc.errno, exc.strerror, out) from None
         raise
 

@@ -43,7 +43,6 @@ from .trees import (
     RootedPlaneTree,
     _Frozen,
     _dyck_codes,
-    _height_of,
     _mirror,
     _tree_of,
     count_rooted,
@@ -103,8 +102,10 @@ def assemble(spec: CenterGluingSpec) -> RootedPlaneTree:
 @lru_cache(maxsize=None)
 def _pool(vertices: int, height: int) -> tuple[str, ...]:
     # the branch words "(b)" of the trees b of this size and exactly this
-    # height, in word order
-    return tuple(["(" + code + ")" for code in _dyck_codes(vertices - 1, height) if _height_of(code) == height])
+    # height, in word order: the codes of at most this height less those
+    # of at most one less
+    lower = set(_dyck_codes(vertices - 1, height - 1))
+    return tuple(["(" + code + ")" for code in _dyck_codes(vertices - 1, height) if code not in lower])
 
 
 def _bracelet(words: list[str]) -> bool:

@@ -10,6 +10,7 @@ import pathlib
 import pickle
 import random
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -326,6 +327,24 @@ class TestEnumerate:
             assert err == f"error: [Errno {number}] {os.strerror(number)}: '{target}'\n"
         assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
 
+    @pytest.mark.parametrize("target", ["old.txt", "/dev/full"], ids=["file size limit", "/dev/full"])
+    def test_out_write_errors_name_the_given_path(self, tmp_path, target):
+        # a failed write carries no file name: the one-line error still names
+        # the path given, the old file keeps its bytes and no temp file is left
+        old = tmp_path / "old.txt"
+        old.write_text("old\n")
+        number = errno.EFBIG if target == "old.txt" else errno.ENOSPC
+        source = pathlib.Path(plane_forest.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "10", "--out", target],
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(source)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192)),
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == f"error: [Errno {number}] {os.strerror(number)}: '{target}'\n".encode()
+        assert list(tmp_path.iterdir()) == [old] and old.read_text() == "old\n"
+
     def test_out_empty_path_is_an_error(self, capsys, monkeypatch, tmp_path):
         # an empty path names no file, though realpath("") is the working
         # directory: exit 1 with the one-line ENOENT error, and no temp file
@@ -488,6 +507,16 @@ class TestVerify:
         assert out.count("MISMATCH") == 3
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "3d7e3a5876e1c93755115d8aa236037bad7be725ff36d8b23c2c61a83e1b6893"
+
+    def test_eleven_vertex_output_frozen(self, capsys):
+        # past the oracle cap of 10 vertices the sweep's rows stop at v=10,
+        # and one line says so
+        code, out, _ = run(capsys, "verify", "--max-vertices", "11")
+        rows = out.split("\n\nclaimed-count audit")[0].splitlines()
+        assert code == 0 and [row[:6] for row in rows[1:11]] == [f"  v={v:>2}" for v in range(1, 11)]
+        assert rows[11:] == ["  (oracle comparison capped at v=10)"]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "f0f5709f43f64ca934da493340dbb58e5d507f574a4e98e749e8afc0720963ba"
 
     def test_sweep_centers_each_tree_once(self, capsys, monkeypatch):
         # one center scan per rooted tree up to 8 vertices, for both modes,

@@ -340,6 +340,10 @@ class TestReconcile:
             assert flow_row.computed_oriented == plane_row.computed_oriented
             assert flow_row.computed_mirror == plane_row.computed_mirror
 
+    def test_mismatches_are_the_three_documented_rows(self):
+        rows = reconcile_counts().mismatches
+        assert [(row.kind, row.parameter) for row in rows] == [("rooted", 5), ("plane", 8), ("flows", 7)]
+
     def test_text_table_flags(self):
         text = reconcile_counts().to_text()
         assert "MISMATCH" in text

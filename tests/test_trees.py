@@ -114,6 +114,10 @@ class TestHeight:
     def test_height_is_max_over_children(self):
         assert decode("()((()))()").height == 3
 
+    def test_only_the_single_vertex_is_a_leaf(self):
+        assert LEAF.is_leaf() and decode("(())").children[0].children[0].is_leaf()
+        assert not decode("()").is_leaf() and not decode("(())").children[0].is_leaf()
+
 
 class TestEnumeration:
     def test_three_edges_gives_five(self):
@@ -206,6 +210,11 @@ class TestCaps:
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv(MAX_EDGES_ENV, "many")
         with pytest.raises(ValueError):
+            enumerate_rooted(2)
+
+    def test_negative_env_value(self, monkeypatch):
+        monkeypatch.setenv(MAX_EDGES_ENV, "-1")
+        with pytest.raises(ValueError, match="^PLANE_FOREST_MAX_EDGES must be non-negative, got -1$"):
             enumerate_rooted(2)
 
     def test_explicit_limit_wins(self):

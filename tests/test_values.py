@@ -143,6 +143,8 @@ def test_cached_height_survives_pickle():
         lambda: CenterGluingSpec(U, (PATH,), 4),
         lambda: CenterGluingSpec(U, (PATH, decode("")), 5),
         lambda: CenterGluingSpec(B, (PATH, decode("()")), 5),
+        lambda: CenterGluingSpec(B, (PATH,), 3),
+        lambda: CenterGluingSpec(B, (PATH, PATH), 5),
     ],
 )
 def test_checks_still_raise_value_error(build_bad):
