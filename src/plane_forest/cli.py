@@ -206,12 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="plane isomorphism flavor (default: oriented)",
         )
 
-    def add_cap(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-vertices",
-            type=positive_int,
-            help="raise or lower the plane enumeration cap",
-        )
+    def add_cap(p: argparse.ArgumentParser, help: str = "raise or lower the plane enumeration cap") -> None:
+        p.add_argument("--max-vertices", type=positive_int, help=help)
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="write to this path instead of stdout")
@@ -237,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_flows = sub.add_parser("flows", help="count one-sink flow classes by saddles")
-    p_flows.add_argument("--saddles", type=int, required=True)
+    p_flows.add_argument("--saddles", type=int, required=True, help="saddles of each flow: the edges of its separatrix tree")
     p_flows.add_argument("--list", action="store_true", help="also print one record per class")
     add_mode(p_flows)
     add_cap(p_flows)
@@ -247,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="cross-check both enumeration routes and audit claimed counts"
     )
-    add_cap(p_verify)
+    add_cap(p_verify, "check plane trees of 1 to MAX_VERTICES vertices (default: %(default)s); the oracle "
+            f"comparison stops at ORACLE_MAX_VERTICES = {ORACLE_MAX_VERTICES} even when MAX_VERTICES is higher")
     p_verify.set_defaults(func=cmd_verify, max_vertices=9)
 
     p_render = sub.add_parser("render", help="draw a tree code as dot, svg or ascii")

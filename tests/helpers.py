@@ -1,7 +1,9 @@
-"""Shared strategies and random generators for the test suite."""
+"""Shared strategies, random generators and the byte-identity gate for the test suite."""
 
 from __future__ import annotations
 
+import json
+import pathlib
 import random
 from typing import Iterator
 
@@ -10,6 +12,10 @@ from hypothesis import strategies as st
 from plane_forest import EquivalenceMode, RootedPlaneTree
 from plane_forest.enumeration import _pool
 from plane_forest.trees import _factors, _mirror
+
+#: The byte-identity gate: one row per CLI run, with its argv, its exit
+#: code, the SHA-256 of its stdout and, for an error, its exact stderr.
+GATE: list[dict] = json.loads(pathlib.Path(__file__).with_name("gate.json").read_text())
 
 
 def tree_strategy(max_leaves: int = 24) -> st.SearchStrategy[RootedPlaneTree]:

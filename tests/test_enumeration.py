@@ -40,24 +40,15 @@ ORIENTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 14, 8: 34, 9: 95, 10: 
 MIRROR_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 12, 8: 27, 9: 65, 10: 175}
 
 # above the oracle cap: computed by the object-based gluing route (which
-# built every branch as a RootedPlaneTree) and frozen; the SHA-256 is that
-# of catalog_text(v, mode, enumerate_plane_center(v, mode, limit=v)). The
-# v=13 digests come from the gluing route that still leaf-stripped and
+# built every branch as a RootedPlaneTree) and frozen. The SHA-256 of each
+# size's catalog is the gate's: catalog_text(v, mode, enumerate_plane_center(
+# v, mode, limit=v)) must equal the CLI's `--format catalog` row. The v=13
+# digests come from the gluing route that still leaf-stripped and
 # re-minimised every glued code, the v=14 ones from the route whose branch
 # pool held every rooted tree of each size, whatever its height.
 GLUED_COUNTS = {
     ORIENTED: {11: 854, 12: 2694, 13: 8714, 14: 28640},
     MIRROR: {11: 490, 12: 1473, 13: 4588, 14: 14782},
-}
-GLUED_DIGESTS = {
-    (11, ORIENTED): "3c05d77b7c6bb6d1041175b01f0fcc123290b3f05d84390adab2e230dc64a51e",
-    (11, MIRROR): "91432425e8757be5da289668f93968db73c1c3db44bf27b8d8225903e35eb0d0",
-    (12, ORIENTED): "f7c65fbdc68db961b9d7d4e6e340e4fcb182c3a8aced3fe58835b6fb87376200",
-    (12, MIRROR): "44198e220aaf99edc8d5689840707316483a4532563fe59f884545d1ca87d9fb",
-    (13, ORIENTED): "df97591bcbf582300ca787ea370a2a03d724a52ec488c8cf4ed519dc7261fdbc",
-    (13, MIRROR): "871f2b02b22ebbb5b159ae4e0ec9a1fa3908927e657dbb1922c595612bd9b0fc",
-    (14, ORIENTED): "a1d04d4cb400cdd204cf4d718ddb41331fbeec6893251a15f06c5fff65981d57",
-    (14, MIRROR): "e13604faca84fabef94c2507106a6818c7370719eee8c50d4c8b93624e107215",
 }
 
 
@@ -273,10 +264,14 @@ class TestFrozenCatalogs:
     def test_counts_above_oracle_cap(self, vertices, mode):
         assert len(_glued(vertices, mode)) == GLUED_COUNTS[mode][vertices]
 
-    @pytest.mark.parametrize("vertices,mode", sorted(GLUED_DIGESTS, key=str))
+    @pytest.mark.parametrize("vertices,mode", [(v, mode) for mode in GLUED_COUNTS for v in GLUED_COUNTS[mode]])
     def test_catalog_digests(self, vertices, mode):
+        # the library route, which no gate row runs, writes the CLI's bytes
         text = catalog_text(vertices, mode, _glued(vertices, mode))
-        assert hashlib.sha256(text.encode()).hexdigest() == GLUED_DIGESTS[vertices, mode]
+        argv = ["enumerate", "--vertices", str(vertices), "--max-vertices", "14", "--format", "catalog"]
+        argv += ["--mode", "mirror"] if mode is MIRROR else []
+        (row,) = [row for row in helpers.GATE if row["argv"] == argv]
+        assert hashlib.sha256(text.encode()).hexdigest() == row["stdout"]
 
 
 class TestGluingSpec:
