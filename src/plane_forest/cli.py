@@ -5,8 +5,8 @@ mismatch. `--out` replaces a file whole, but appends to a file already
 open for writing on a descriptor (stdout's, stderr's, `/dev/fd/N`'s; not
 stdin's, as in `--out f < f`) and writes a FIFO or a device in place; a
 reader that closes any of them or stdout early ends the output with exit
-0 and no message, and a closed stdout is an error (EBADF). Output is
-deterministic; identical invocations produce identical bytes.
+0 and no message, and a closed stdout is an error (EBADF). Identical
+invocations produce identical bytes, whatever the terminal's width.
 """
 
 from __future__ import annotations
@@ -191,8 +191,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    # wraps at 78 as an 80-column terminal does, never at COLUMNS; subparsers inherit it
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        return self.formatter_class(prog=self.prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plane-forest",
         description="Enumerate, canonicalize and render plane trees; count "
         "one-sink sphere flows by their separatrix trees.",

@@ -24,15 +24,27 @@ def _row_id(row):
 
 @pytest.mark.parametrize("row", GATE, ids=_row_id)
 def test_row(capsys, monkeypatch, row):
-    # neither a user's edge cap nor the terminal's width (argparse wraps
-    # its usage line to it) may flip a row
+    # a user's edge cap may not flip a row
     monkeypatch.delenv("PLANE_FOREST_MAX_EDGES", raising=False)
-    monkeypatch.setenv("COLUMNS", "80")
     status = main(list(row["argv"]))
     out, err = capsys.readouterr()
     seen = {"exit": status, "stdout": hashlib.sha256(out.encode()).hexdigest()}
     assert seen == {"exit": row["exit"], "stdout": row["stdout"]}, f"observed {seen}"
     assert err == row.get("stderr", "")
+
+
+def test_output_ignores_the_terminal_width(capsys, monkeypatch):
+    # argparse would wrap usage and help to COLUMNS; the CLI wraps at a fixed width
+    usage = next(row for row in GATE if row["argv"] == ["verify", "--max-vertices", "0"])
+    helps = {}
+    for columns in "40", "80", "200":
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in "", "count", "enumerate", "flows", "verify", "render":
+            assert main([*command.split(), "-h"]) == 0
+            helps.setdefault(command or "plane-forest", set()).add(capsys.readouterr().out)
+        assert main(usage["argv"]) == 1
+        assert capsys.readouterr() == ("", usage["stderr"]), f"COLUMNS={columns}"
+    assert [command for command, outs in helps.items() if len(outs) > 1] == []
 
 
 def test_rows_are_unique_by_argv():
