@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import random
+import sys
 from typing import Iterator
 
 from hypothesis import strategies as st
 
+import plane_forest
 from plane_forest import EquivalenceMode, RootedPlaneTree
 from plane_forest.enumeration import _pool
 from plane_forest.trees import _factors, _mirror
@@ -16,6 +19,17 @@ from plane_forest.trees import _factors, _mirror
 #: The byte-identity gate: one row per CLI run, with its argv, its exit
 #: code, the SHA-256 of its stdout and, for an error, its exact stderr.
 GATE: list[dict] = json.loads(pathlib.Path(__file__).with_name("gate.json").read_text())
+
+#: The argv prefix that runs the CLI in a child of this interpreter.
+CLI = (sys.executable, "-m", "plane_forest.cli")
+
+
+def source_env(**overrides: str | None) -> dict[str, str]:
+    """This process's environment as it is now, with PYTHONPATH at the
+    imported package's source and each override set, or unset where None."""
+    source = str(pathlib.Path(plane_forest.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": source, **overrides}
+    return {name: value for name, value in env.items() if value is not None}
 
 
 def tree_strategy(max_leaves: int = 24) -> st.SearchStrategy[RootedPlaneTree]:

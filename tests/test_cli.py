@@ -42,7 +42,7 @@ from plane_forest import (
 from plane_forest import canonical, cli, enumeration
 from plane_forest.cli import main
 
-from helpers import random_tree
+from helpers import CLI, random_tree, source_env
 
 
 def run(capsys, *argv):
@@ -218,11 +218,9 @@ class TestEnumerate:
 
     def test_out_dev_stdout_writes_to_stdout(self):
         # with stdout a pipe, /dev/stdout is written into, not renamed over
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
         proc = subprocess.run(
-            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", "/dev/stdout"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+            [*CLI, "enumerate", "--edges", "2", "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(), timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"(())\n()()\n", b"")
 
@@ -231,12 +229,10 @@ class TestEnumerate:
         # stdout's own file is appended to, not replaced by a temp file
         log = tmp_path / "log.txt"
         log.write_text("first line\n")
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
         with open(log, "a") as stdout:
             proc = subprocess.run(
-                [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", "/dev/stdout"],
-                stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+                [*CLI, "enumerate", "--edges", "2", "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, env=source_env(), timeout=60,
             )
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert log.read_text() == "first line\n(())\n()()\n"
@@ -249,14 +245,12 @@ class TestEnumerate:
         # to, not replaced by a temp file
         log = tmp_path / "log.txt"
         log.write_text("first line\n")
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
         with open(log, "a") as held:
             out, fds = ("/dev/stderr", ()) if stderr else (f"/dev/fd/{held.fileno()}", (held.fileno(),))
             proc = subprocess.run(
-                [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", out],
+                [*CLI, "enumerate", "--edges", "2", "--out", out],
                 stdout=subprocess.PIPE, stderr=held if stderr else subprocess.PIPE, pass_fds=fds,
-                env=env, timeout=60,
+                env=source_env(), timeout=60,
             )
         assert (proc.returncode, proc.stdout) == (0, b"")
         assert log.read_text() == "first line\n(())\n()()\n"
@@ -269,13 +263,11 @@ class TestEnumerate:
         target = tmp_path / "f"
         target.write_text("old\n")
         before = target.stat().st_ino
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
         with open(target) as held:
             proc = subprocess.run(
-                [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", str(target)],
+                [*CLI, "enumerate", "--edges", "2", "--out", str(target)],
                 stdin=held if stdin else subprocess.DEVNULL, pass_fds=() if stdin else (held.fileno(),),
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(), timeout=60,
             )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
         assert target.read_text() == "(())\n()()\n" and target.stat().st_ino != before
@@ -322,11 +314,9 @@ class TestEnumerate:
         old = tmp_path / "old.txt"
         old.write_text("old\n")
         number = errno.EFBIG if target == "old.txt" else errno.ENOSPC
-        source = pathlib.Path(plane_forest.__file__).parent.parent
         proc = subprocess.run(
-            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "10", "--out", target],
-            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(source)},
+            [*CLI, "enumerate", "--edges", "10", "--out", target],
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60, env=source_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192)),
         )
         assert (proc.returncode, proc.stdout) == (1, b"")
@@ -339,11 +329,9 @@ class TestEnumerate:
         # is made in the working directory's parent
         work = tmp_path / "work"
         work.mkdir()
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
         proc = subprocess.run(
-            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "2", "--out", ""],
-            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60,
+            [*CLI, "enumerate", "--edges", "2", "--out", ""],
+            cwd=work, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(), timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (1, b"")
         assert proc.stderr == b"error: [Errno 2] No such file or directory: ''\n"
@@ -890,16 +878,10 @@ class TestContract:
         # as `plane-forest enumerate --edges 12 | head -1`: the reader takes
         # one line and closes the pipe long before the stream ends; unbuffered,
         # each line is its own write, so the next one meets the closed pipe
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
+        env = source_env()
         if unbuffered is not None:
             env["PYTHONUNBUFFERED"] = unbuffered
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "plane_forest.cli", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        proc = subprocess.Popen([*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
@@ -921,9 +903,8 @@ class TestContract:
             patch.setattr(sys, "stdout", None)
             code = main(list(argv))
         assert (code, *capsys.readouterr()) == (1, "", ebadf)
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
-        child = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "plane_forest.cli", *argv]
+        env = source_env()
+        child = ["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *argv]
         proc = subprocess.run(child, stderr=subprocess.PIPE, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (1, ebadf.encode())
         if argv[0] not in ("count", "verify"):
@@ -936,11 +917,9 @@ class TestContract:
         # the output ends as it does on stdout, with exit 0 and no message
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "plane_forest.cli", "enumerate", "--edges", "12", "--out", str(fifo)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            [*CLI, "enumerate", "--edges", "12", "--out", str(fifo)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(),
         )
         got = []
 
@@ -967,16 +946,11 @@ class TestContract:
         # as `{ sleep 1; plane-forest count --edges 4; } | true`: the reader
         # is gone before the first byte, so the first write (unbuffered) or
         # the flush (buffered) meets the closed pipe
-        source = pathlib.Path(plane_forest.__file__).parent.parent
-        env = {**os.environ, "PYTHONPATH": str(source)}
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        env = source_env(PYTHONUNBUFFERED="1" if unbuffered else None)
         read, write = os.pipe()
         os.close(read)
         try:
-            proc = subprocess.run([sys.executable, "-m", "plane_forest.cli", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, env=env, timeout=60)
+            proc = subprocess.run([*CLI, *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, b"")

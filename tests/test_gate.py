@@ -1,9 +1,13 @@
 """The byte-identity gate: every row of `gate.json` run through `cli.main`.
 
 A row is one CLI run: its argv, its exit code, the SHA-256 of its stdout
-and, for an error, its exact stderr. CI runs the same rows through the
-installed `plane-forest` script. Nothing here writes the file: a change
-that has to move a row edits it by hand, and CHANGES names the row.
+and, for an error, its exact stderr. Each `enumerate`, `flows` and `render`
+row also runs with `--out`: a success writes the pinned bytes to the file
+and nothing to stdout or stderr, an error writes the row's stderr and no
+file. CI's packaging step runs the rows, without `--out`, through the
+installed `plane-forest` script and checks nothing else there. Nothing here
+writes the file: a change that has to move a row edits it by hand, and
+CHANGES names the row.
 """
 
 import hashlib
@@ -16,21 +20,42 @@ from helpers import GATE
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
+#: The commands that take `--out`.
+LISTINGS = ("enumerate", "flows", "render")
+
 
 def _row_id(row):
     # the long render code would make an unreadable id
     return " ".join(arg if len(arg) <= 40 else f"<{len(arg)}-character code>" for arg in row["argv"])
 
 
-@pytest.mark.parametrize("row", GATE, ids=_row_id)
-def test_row(capsys, monkeypatch, row):
+@pytest.fixture(autouse=True)
+def _no_edge_cap(monkeypatch):
     # a user's edge cap may not flip a row
     monkeypatch.delenv("PLANE_FOREST_MAX_EDGES", raising=False)
+
+
+@pytest.mark.parametrize("row", GATE, ids=_row_id)
+def test_row(capsys, row):
     status = main(list(row["argv"]))
     out, err = capsys.readouterr()
     seen = {"exit": status, "stdout": hashlib.sha256(out.encode()).hexdigest()}
     assert seen == {"exit": row["exit"], "stdout": row["stdout"]}, f"observed {seen}"
     assert err == row.get("stderr", "")
+
+
+@pytest.mark.parametrize("row", [row for row in GATE if row["argv"][0] in LISTINGS], ids=_row_id)
+def test_row_through_out(capsys, tmp_path, row):
+    # the file holds what stdout would; an error leaves no file, not even a temp one
+    out = tmp_path / "out"
+    status = main([*row["argv"], "--out", str(out)])
+    if "stderr" in row:
+        assert (status, *capsys.readouterr()) == (1, "", row["stderr"])
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert (status, *capsys.readouterr()) == (0, "", "")
+        assert list(tmp_path.iterdir()) == [out]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == row["stdout"]
 
 
 def test_output_ignores_the_terminal_width(capsys, monkeypatch):

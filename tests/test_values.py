@@ -5,8 +5,6 @@ import contextlib
 import copy
 import dataclasses
 import io
-import os
-import pathlib
 import pickle
 import subprocess
 import sys
@@ -34,6 +32,8 @@ from plane_forest import (
     flow_from_tree,
 )
 from plane_forest.cli import main
+
+from helpers import source_env
 
 ORIENTED, MIRROR = EquivalenceMode.ORIENTED, EquivalenceMode.MIRROR
 U, B = Centrality.UNICENTRAL, Centrality.BICENTRAL
@@ -181,10 +181,9 @@ class TestPlaneTreeFields:
 def test_import_needs_no_dataclasses():
     # -S keeps the interpreter's site-packages, and whatever they import,
     # out of the check
-    source = pathlib.Path(plane_forest.__file__).parent.parent
-    env = {**os.environ, "PYTHONPATH": str(source)}
     probe = "import plane_forest, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=source_env(), capture_output=True, text=True,
+                         check=True)
     assert out.stdout == "[]\n"
 
 
