@@ -82,11 +82,12 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
                     handle.flush()
             except BrokenPipeError:
                 # the reader stopped early, which ends the stream but is no
-                # error; stdout goes to devnull, so a flush of what is still
-                # buffered at interpreter exit cannot raise again
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+                # error; written through stdout, fd 1 goes to devnull, so a flush
+                # of what is still buffered at interpreter exit cannot raise again
+                if out is None:
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    os.close(devnull)
             return
         # a symlink is written through, as open(out, "w") would, not replaced
         target = os.path.realpath(out)
@@ -273,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (PlaneForestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

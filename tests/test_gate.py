@@ -5,16 +5,19 @@ and, for an error, its exact stderr. Each `enumerate`, `flows` and `render`
 row also runs with `--out`: a success writes the pinned bytes to the file
 and nothing to stdout or stderr, an error writes the row's stderr and no
 file. CI's packaging step runs the rows, without `--out`, through the
-installed `plane-forest` script and checks nothing else there. Nothing here
-writes the file: a change that has to move a row edits it by hand, and
-CHANGES names the row.
+installed `plane-forest` script and checks nothing else there. Every
+`enumerate` and `render` format and every svg layout has a success row.
+Nothing here writes the file: a change that has to move a row edits it by
+hand, and CHANGES names the row.
 """
 
+import argparse
 import hashlib
 
 import pytest
 
-from plane_forest.cli import main
+from plane_forest.cli import build_parser, main
+from plane_forest.render import FORMATS, LAYOUTS
 
 from helpers import GATE
 
@@ -86,3 +89,17 @@ def test_a_row_is_a_success_or_an_error():
             assert (row["exit"], row["stdout"]) == (1, EMPTY) and row["stderr"].endswith("\n"), row["argv"]
         else:
             assert row.keys() == {"argv", "exit", "stdout"} and row["exit"] == 0, row["argv"]
+
+
+def test_every_format_and_layout_has_a_success_row():
+    # a new enumerate or render format, or a new svg layout, cannot go unpinned
+    parser = build_parser()
+    commands = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices
+    listings = next(action for action in commands["enumerate"]._actions if action.dest == "format").choices
+    pinned = {"enumerate": set(), "render": set(), "svg": set()}
+    for args in (parser.parse_args(row["argv"]) for row in GATE if "stderr" not in row):
+        if args.command in ("enumerate", "render"):
+            pinned[args.command].add(args.format)
+        if args.command == "render" and args.format == "svg":
+            pinned["svg"].add(args.layout)
+    assert pinned == {"enumerate": set(listings), "render": set(FORMATS), "svg": set(LAYOUTS)}
