@@ -1,12 +1,13 @@
 """Command-line surface: count, enumerate, flows, verify, render.
 
-Exit codes: 0 success, 1 usage or input error, 2 internal verification
-mismatch. `--out` replaces a file whole, but appends to a file already
-open for writing on a descriptor (stdout's, stderr's, `/dev/fd/N`'s; not
-stdin's, as in `--out f < f`) and writes a FIFO or a device in place; a
-reader that closes any of them or stdout early ends the output with exit
-0 and no message, and a closed stdout is an error (EBADF). Identical
-invocations produce identical bytes, whatever the terminal's width.
+Exit codes: 0 success, 1 usage or input error, or running out of memory
+(`error: out of memory`), 2 internal verification mismatch. `--out`
+replaces a file whole, but appends to a file already open for writing on
+a descriptor (stdout's, stderr's, `/dev/fd/N`'s; not stdin's, as in
+`--out f < f`) and writes a FIFO or a device in place; a reader that
+closes any of them or stdout early ends the output with exit 0 and no
+message, and a closed stdout is an error (EBADF). Identical invocations
+produce identical bytes, whatever the terminal's width.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from contextlib import nullcontext, suppress
 
 from .enumeration import (
     ORACLE_MAX_VERTICES,
+    _COUNT_MAX_EDGES,
     _catalog,
     _center_codes,
     _cross_check,
@@ -36,11 +38,6 @@ from .morse import _record_head, _sources, count_flows
 from .render import FORMATS, LAYOUTS, RenderSpec, render
 from .trees import EquivalenceMode, count_rooted, encode, enumerate_rooted, rooted_codes
 from .canonical import rerooting_oracle_canon
-
-
-#: Most edges whose Catalan number prints within Python's default limit of
-#: 4300 digits; a constant, so the cap holds where Python sets no limit.
-_COUNT_MAX_EDGES = 7152
 
 
 def _file_mode(path: str) -> int | None:

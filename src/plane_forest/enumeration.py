@@ -27,7 +27,9 @@ decides it. No glued code is scanned back into a tree.
 
 A second, slower route (`enumerate_plane_oracle`) canonicalizes every
 rooted tree and dedups; `_cross_check` runs it on a third route's codes,
-one stream per size, held to gluing byte for byte and to their partition.
+one stream per size, held to gluing byte for byte and to their partition,
+and holds the glued count to `_closed_count`, the closed form that is
+`count_plane`'s one route: counting lists nothing.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, islice
+from math import comb, gcd
 
 from .canonical import (Centrality, PlaneTree, _center_split, _check_centrality, _check_mode, _checked,
                         _least_bicentral, _plane_tree)
+from .errors import LimitExceeded
 from .trees import (
     EquivalenceMode,
     RootedPlaneTree,
@@ -55,6 +59,11 @@ DEFAULT_MAX_VERTICES = 12
 
 #: The brute-force route touches Catalan(v-1) trees; keep it at desk scale.
 ORACLE_MAX_VERTICES = 10
+
+#: Most edges whose Catalan number prints within Python's default limit of
+#: 4300 digits; a constant, so the cap holds where Python sets no limit. A
+#: plane count is at most the rooted one, so it caps both.
+_COUNT_MAX_EDGES = 7152
 
 #: Codes joined into each piece of a streamed listing.
 _CHUNK = 1024
@@ -215,8 +224,9 @@ def enumerate_plane_oracle(
 def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[EquivalenceMode, str, int]]:
     # yields (mode, first failing check or "", glued count): `slow`, an oriented
     # form per code, must cover every rooted tree of the size, whose brute-force
-    # classes must be the glued ones and group them as it does; a mirror form is
-    # the least of a tree's and its reflection's, where `slow` has the reflection
+    # classes must be the glued ones and group them as it does, and the glued
+    # ones must number the closed count; a mirror form is the least of a
+    # tree's and its reflection's, where `slow` has the reflection
     pairs = {mode: set() for mode in EquivalenceMode}
     for code, (oriented, mirror) in _brute_forms(slow):
         form = slow[code]
@@ -227,8 +237,51 @@ def _cross_check(vertices: int, slow: dict[str, str]) -> Iterator[tuple[Equivale
         glued = _center_codes(vertices, mode, None)
         brute = sorted({form for form, _ in found})
         checks = {"rooted trees missing": covered, "catalogs differ": glued == brute,
-                  "partitions differ": len(found) == len(brute) == len({form for _, form in found})}
+                  "partitions differ": len(found) == len(brute) == len({form for _, form in found}),
+                  "closed form differs": len(glued) == _closed_count(vertices, mode)}
         yield mode, next((name for name, passed in checks.items() if not passed), ""), len(glued)
+
+
+def _closed_count(vertices: int, mode: EquivalenceMode) -> int:
+    # The plane trees with n = vertices - 1 edges, counted and not listed:
+    # OEIS A002995 (ORIENTED) and A006082 (MIRROR). ORIENTED, by the
+    # dissymmetry theorem (Harary, Prins and Tutte, "The number of plane
+    # trees", Indag. Math. 26, 1964): the trees rooted at a vertex, plus
+    # those rooted at an edge, less those rooted at a dart, a directed edge.
+    # Vertex-rooted trees are the necklaces of planted trees round the root,
+    # sum_{j<n} C(2g, g) / 2n with g = gcd(j, n); edge-rooted ones are the
+    # unordered pairs of rooted halves, (Catalan(n) + [n odd]
+    # Catalan((n - 1) / 2)) / 2; a dart cuts a tree into an ordered pair of
+    # halves, Catalan(n) of them.
+    #
+    # MIRROR, by Burnside over {identity, reflection} (Walkup, "The number of
+    # plane trees", Mathematika 19, 1972): (oriented + A) / 2, where A counts
+    # the oriented classes equal to their own reflection. A = S(n - 1), with
+    # S(m) = C(m, m // 2) the mirror-symmetric Dyck words of length 2m (such a
+    # word is its first half, m steps that never go below 0). Proof: the
+    # dissymmetry bijection is built from the center, which reflection
+    # keeps, so it commutes with reflection and A = A_V + A_E - A_D over the
+    # reflection-fixed rooted classes. With m = n - 1, by Burnside over each
+    # rooting's reflections:
+    # - a dart's halves are each symmetric: A_D = sum_{i+j=m} S(i) S(j);
+    # - an edge's halves are each symmetric, or each the other's reflection:
+    #   A_E = (A_D + [m even] Catalan(m / 2)) / 2;
+    # - of the k reflections of k branches round a root, each fixes 0, 1 or 2
+    #   branches, which must be symmetric, and pairs the rest, a branch with
+    #   its reflection: with P2 = z^2 C(z^2), C the Catalan series, and
+    #   Q = z S(z), A_V(z) = 1 + Q / (1 - P2) + (Q^2 + P2) / (2 (1 - P2)).
+    # With S(z) = (2z - 1 + sqrt(1 - 4z^2)) / (2z (1 - 2z)), the three series
+    # sum to 1 + z S(z), an identity in z and sqrt(1 - 4z^2) alone, whose z^n
+    # coefficient is S(n - 1).
+    n = vertices - 1
+    if not n:
+        return 1
+    necklaces = sum(comb(2 * gcd(j, n), gcd(j, n)) for j in range(n)) // (2 * n)
+    edge_rooted = (count_rooted(n) + n % 2 * count_rooted((n - 1) // 2)) // 2
+    oriented = necklaces + edge_rooted - count_rooted(n)
+    if mode is EquivalenceMode.ORIENTED:
+        return oriented
+    return (oriented + comb(n - 1, (n - 1) // 2)) // 2
 
 
 def count_plane(
@@ -237,11 +290,19 @@ def count_plane(
     *,
     limit: int | None = None,
 ) -> int:
-    """Number of plane-tree classes with the given vertex count: the gluing
-    walk's unicentral lists and bicentral pairs, with no class built."""
+    """Number of plane-tree classes with the given vertex count, from the
+    closed form of Harary, Prins and Tutte (1964) and, up to reflection,
+    Walkup (1972); no class is listed.
+
+    Raises LimitExceeded above the enumeration cap (default 12), as the
+    listing does, then above 7153 vertices, whose count could outgrow
+    Python's 4300-digit print limit; ValueError for a non-positive vertex
+    count.
+    """
     _checked(vertices, mode, limit, DEFAULT_MAX_VERTICES, "enumeration")
-    walks = _necklaces(vertices - 1, vertices - 1, mode), _necklaces(vertices, 2, mode)
-    return sum(1 for walk in walks for _ in walk)
+    if vertices - 1 > _COUNT_MAX_EDGES:
+        raise LimitExceeded(f"{vertices} vertices exceeds the count cap of {_COUNT_MAX_EDGES + 1}")
+    return _closed_count(vertices, mode)
 
 
 # Counts asserted by the hand enumeration that this package audits. The

@@ -92,6 +92,27 @@ class TestCount:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "7152" in err
 
+    @pytest.mark.parametrize("mode", ["oriented", "mirror"])
+    def test_largest_plane_count_prints_in_full(self, capsys, mode):
+        # a plane count is at most the rooted one, so the same cap keeps it printable
+        code, out, _ = run(capsys, "count", "--vertices", "7153", "--max-vertices", "7153", "--mode", mode)
+        assert code == 0 and 0 < int(out) <= count_rooted(7152)
+
+    @pytest.mark.parametrize("selector", [("count", "--vertices"), ("flows", "--saddles")], ids=["count", "flows"])
+    def test_plane_count_beyond_print_limit_fails_fast(self, capsys, selector):
+        # rejected before the closed form runs
+        start = time.perf_counter()
+        code, out, err = run(capsys, *selector, str(10**9), "--max-vertices", str(10**9 + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: 100000000") and err.endswith(" vertices exceeds the count cap of 7153\n")
+
+    def test_forty_vertices_in_a_cold_process(self):
+        # the closed form answers far past any listing
+        proc = subprocess.run([*CLI, "count", "--vertices", "40", "--max-vertices", "40"],
+                              capture_output=True, env=source_env(), timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"8723402202550254696\n", b"")
+
 
 class TestEnumerate:
     def test_rooted_codes(self, capsys):
@@ -383,7 +404,7 @@ class TestFlows:
     @pytest.mark.parametrize("listed", [False, True])
     def test_catalog_is_enumerated_once(self, capsys, monkeypatch, listed):
         # with --list the count line is the length of the sorted codes, and
-        # no class is built; without it the count comes from the gluing walk
+        # no class is built; without it the count comes from the closed form
         glue, calls = enumeration._center_codes, []
 
         def counted(*args):
@@ -570,6 +591,19 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-vertices", "6")
         assert code == 2
         assert failed_checks(out) == {"catalogs differ"} and "internal checks: FAILED" in err
+
+    def test_closed_form_disagreement_fails(self, capsys, monkeypatch):
+        # a formula off by one at one size fails that size's cell alone
+        closed = enumeration._closed_count
+
+        def off_at_five(vertices, mode):
+            return closed(vertices, mode) + (vertices == 5 and mode is EquivalenceMode.ORIENTED)
+
+        monkeypatch.setattr(enumeration, "_closed_count", off_at_five)
+        code, out, err = run(capsys, "verify", "--max-vertices", "6")
+        assert code == 2
+        assert "  v= 5: oriented=FAIL (count=3: closed form differs)  mirror=ok (count=3)\n" in out
+        assert failed_checks(out) == {"closed form differs"} and "internal checks: FAILED" in err
 
 
 class TestRender:

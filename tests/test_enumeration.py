@@ -2,7 +2,6 @@ import collections
 import functools
 import hashlib
 import json
-import math
 
 import pytest
 
@@ -16,6 +15,7 @@ from plane_forest import (
     catalog_json,
     catalog_text,
     center,
+    count_flows,
     count_plane,
     count_rooted,
     decode,
@@ -52,38 +52,6 @@ GLUED_COUNTS = {
 }
 
 
-def _closed_form(vertices, mode):
-    # plane trees with n = v - 1 edges by the dissymmetry theorem (Harary,
-    # Prins and Tutte, "The number of plane trees", Indag. Math. 26, 1964):
-    # the classes are the trees rooted at a vertex, plus those rooted at an
-    # edge, less those rooted at a directed edge. The vertex-rooted ones are
-    # the necklaces of planted trees round the root, the edge-rooted ones
-    # the unordered pairs of planted trees, the directed ones Catalan(n).
-    # The counts are OEIS A002995 (oriented) and A006082 (mirror).
-    n = vertices - 1
-    if n == 0:
-        return 1
-
-    def catalan(m):
-        return math.comb(2 * m, m) // (m + 1)
-
-    def phi(m):
-        return sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
-
-    necklaces, rest = divmod(sum(phi(n // d) * math.comb(2 * d, d) for d in range(1, n + 1) if n % d == 0), 2 * n)
-    edge_rooted, odd = divmod(catalan(n) + n % 2 * catalan((n - 1) // 2), 2)
-    assert rest == odd == 0
-    oriented = necklaces + edge_rooted - catalan(n)
-    if mode is ORIENTED:
-        return oriented
-    # the achiral oriented classes, those equal to their reflection, number
-    # C(n - 1, floor((n - 1) / 2)): an observed identity, checked here
-    # through v = 14 and not proved
-    mirror, odd = divmod(oriented + math.comb(n - 1, (n - 1) // 2), 2)
-    assert odd == 0
-    return mirror
-
-
 class TestCountPlane:
     @pytest.mark.parametrize("vertices,expected", [(3, 1), (4, 2), (6, 6), (7, 14)])
     def test_hand_tally_range_oriented(self, vertices, expected):
@@ -112,17 +80,33 @@ class TestCountPlane:
             count_plane(13)
         with pytest.raises(LimitExceeded):
             count_plane(5, limit=4)
-
-    @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
-    def test_matches_the_closed_form(self, mode):
-        for v in range(1, 15):
-            assert count_plane(v, mode, limit=v) == _closed_form(v, mode)
+        with pytest.raises(LimitExceeded, match="7154 vertices exceeds the count cap of 7153"):
+            count_plane(7154, limit=7154)
 
     @pytest.mark.parametrize("mode", [ORIENTED, MIRROR])
     def test_counts_the_catalog(self, mode):
-        # the count is the walk's yields; no class is built for it
-        for v in range(1, 14):
+        # the closed form against the glued catalog, a route it shares no code with
+        for v in range(1, 15):
             assert count_plane(v, mode, limit=v) == len(_glued(v, mode))
+
+    def test_lists_nothing(self, monkeypatch):
+        # the count, the flows count and the audit reach no gluing walk
+        def never(*args):
+            raise AssertionError("a count listed classes")
+
+        for name in ("_necklaces", "_pool", "_center_codes"):
+            monkeypatch.setattr(enumeration, name, never)
+        for mode, frozen in (ORIENTED, ORIENTED_COUNTS), (MIRROR, MIRROR_COUNTS):
+            counts = {**frozen, **GLUED_COUNTS[mode]}
+            assert {v: count_plane(v, mode, limit=v) for v in range(1, 15)} == counts
+            assert count_flows(13, mode, limit=14) == counts[14]
+        assert [(row.kind, row.parameter) for row in reconcile_counts().mismatches] == [
+            ("rooted", 5), ("plane", 8), ("flows", 7)]
+
+    def test_forty_vertices(self):
+        # OEIS A002995 and A006082 at 39 edges, far past any listing
+        assert count_plane(40, ORIENTED, limit=40) == 8723402202550254696
+        assert count_plane(40, MIRROR, limit=40) == 4361701118947759248
 
 
 class TestNecklaceWalk:
